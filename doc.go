@@ -46,11 +46,12 @@
 //     /v1 (pinned byte-for-byte by golden wire tests); a singleflight
 //     model registry keyed (target, kind, input set) — a PUE-only query
 //     never trains a WER model, and errors are never cached (a failed
-//     fill clears and retries) — a workload profile cache, micro-batched
-//     PredictBatch dispatch, a /metrics exposition, and generation-aware
-//     hot reload: the dataset and all state derived from it swap
-//     atomically on /v1/reload, SIGHUP or a -reload-interval poll, with a
-//     persisted artifact fingerprint making unchanged reloads no-ops, and
+//     fill clears and retries) — a workload profile cache, one direct
+//     Predict call per requested target, a /metrics exposition, and
+//     generation-aware hot reload: the dataset and all state derived from
+//     it swap atomically on /v1/reload, SIGHUP or a -reload-interval poll,
+//     with a persisted artifact fingerprint making unchanged reloads
+//     no-ops, and
 //     GET /v2/stats exposing per-(target, kind, input set) serving
 //     counters so an external client can reconcile its view with the
 //     server's (cmd/dramserve is the entry point; API.md documents the
@@ -79,6 +80,10 @@
 //     slow shards, and artifact-fingerprint consistency (responses never
 //     blend two artifact generations) — serving the /v2 wire format
 //     unchanged (cmd/dramrouter is the entry point)
+//   - internal/httpapi — the request contract serve and cluster share:
+//     strict JSON decode, body cap, method and media-type enforcement,
+//     structured errors, the pooled JSON writer and per-(endpoint, code)
+//     request counting
 //   - internal/policy — the closed control loop: mitigation policies
 //     (static, threshold, risk-budget) that consume the server's /v2
 //     predictions and act on the fleet — per-server TREFP retuning,

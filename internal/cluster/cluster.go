@@ -18,15 +18,15 @@
 //
 //   - Consistent-hash model ownership. Every backend loads the same
 //     artifact, but models are trained lazily per (target, kind, input
-//     set), and each trained model plus its micro-batcher and profile
-//     cache occupies memory and warmup time. The router hashes that
-//     triple — the same key the backend's model registry uses — onto a
-//     virtual-node ring, so each model's traffic concentrates on one
-//     owner: N backends hold ~1/N of the model set warm apiece instead of
-//     N copies of everything. A multi-target query is split per owner and
-//     the answers are merged; a batch fans out per item. Ownership is a
-//     performance hint, not a partition: any backend can answer any key,
-//     which is what makes failover below safe.
+//     set), and each trained model and profile cache occupies memory and
+//     warmup time. The router hashes that triple — the same key the
+//     backend's model registry uses — onto a virtual-node ring, so each
+//     model's traffic concentrates on one owner: N backends hold ~1/N of
+//     the model set warm apiece instead of N copies of everything. A
+//     multi-target query is split per owner and the answers are merged; a
+//     batch fans out per item. Ownership is a performance hint, not a
+//     partition: any backend can answer any key, which is what makes
+//     failover below safe.
 //
 //   - Health-checked pool membership. A prober hits every backend's
 //     /healthz on an interval, decoding the serve.HealthResponse probing
@@ -63,6 +63,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/httpapi"
 )
 
 // Defaults for the zero Options fields.
@@ -185,7 +187,7 @@ func New(opts Options) (*Router, error) {
 	}
 	rt := &Router{
 		client:     client,
-		metrics:    newMetrics(),
+		metrics:    &metrics{},
 		reqTimeout: defDur(opts.RequestTimeout, DefaultRequestTimeout),
 		hedgeAfter: defDur(opts.HedgeAfter, DefaultHedgeAfter),
 		attempts:   defInt(opts.Attempts, DefaultAttempts),
@@ -238,12 +240,12 @@ func (rt *Router) Close() error {
 
 // Handler returns the router's HTTP surface. The /v2 wire format —
 // including the method contract (405 + Allow, 415 on non-JSON POSTs) and
-// the structured error shape — matches dramserve, so clients cannot tell
-// a router from a single backend.
+// the structured error shape — is dramserve's own (internal/httpapi), so
+// clients cannot tell a router from a single backend.
 func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
 	route := func(path, method string, h http.HandlerFunc) {
-		mux.HandleFunc(path, rt.counted(path, endpoint(method, h)))
+		mux.HandleFunc(path, rt.metrics.requests.Counted(path, httpapi.Endpoint(method, httpapi.WriteError, h)))
 	}
 	route("/v2/predict", http.MethodPost, rt.handlePredict)
 	route("/healthz", http.MethodGet, rt.handleHealthz)

@@ -234,7 +234,7 @@ func TestRouterEndToEnd(t *testing.T) {
 		we.Error.Code != "unknown_workload" || we.Error.Field != "workload" {
 		t.Fatalf("unknown workload via router = %d %s", resp.StatusCode, data)
 	}
-	if got := rt.metrics.retries.value(); got != 0 {
+	if got := rt.metrics.retries.Value(); got != 0 {
 		t.Fatalf("a 4xx pass-through burned %d retries", got)
 	}
 
@@ -375,7 +375,7 @@ func TestRouterProbeEjectionReadmission(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || hr.Status != "degraded" || hr.Healthy != 1 {
 		t.Fatalf("post-ejection healthz = %d %+v", resp.StatusCode, hr)
 	}
-	if got := rt.metrics.ejections.value(); got != 1 {
+	if got := rt.metrics.ejections.Value(); got != 1 {
 		t.Fatalf("ejections = %d, want 1", got)
 	}
 	// Every key now routes to the survivor first.
@@ -392,7 +392,7 @@ func TestRouterProbeEjectionReadmission(t *testing.T) {
 	if _, hr := getHealth(t, rts.URL); hr.Status != "ok" || hr.Healthy != 2 {
 		t.Fatalf("post-recovery healthz: %+v", hr)
 	}
-	if got := rt.metrics.readmissions.value(); got != 1 {
+	if got := rt.metrics.readmissions.Value(); got != 1 {
 		t.Fatalf("readmissions = %d, want 1", got)
 	}
 
@@ -463,11 +463,11 @@ func TestRouterFailoverMidDrive(t *testing.T) {
 	if completed != len(qs) {
 		t.Fatalf("completed %d of %d issued queries across the backend kill", completed, len(qs))
 	}
-	if got := rt.metrics.ejections.value(); got < 1 {
+	if got := rt.metrics.ejections.Value(); got < 1 {
 		t.Fatalf("dead backend never ejected (ejections = %d)", got)
 	}
 	t.Logf("failover: %d/%d completed, retries=%d ejections=%d",
-		completed, len(qs), rt.metrics.retries.value(), rt.metrics.ejections.value())
+		completed, len(qs), rt.metrics.retries.Value(), rt.metrics.ejections.Value())
 }
 
 // TestRouterHedgingOnSlowShard: a shard that answers slowly (but is not
@@ -520,7 +520,7 @@ func TestRouterHedgingOnSlowShard(t *testing.T) {
 	if elapsed >= stallMS*time.Millisecond {
 		t.Fatalf("response took %v: the hedge never rescued it from the %dms stall", elapsed, stallMS)
 	}
-	if got := rt.metrics.hedges.value(); got < 1 {
+	if got := rt.metrics.hedges.Value(); got < 1 {
 		t.Fatalf("hedges = %d, want at least 1", got)
 	}
 	t.Logf("hedged around a %dms stall in %v", stallMS, elapsed)
@@ -606,8 +606,8 @@ scan:
 		we.Error.Code != codeFingerprintSkew {
 		t.Fatalf("skewed batch = %d %s, want 502 fingerprint_skew", resp.StatusCode, data)
 	}
-	if got := rt.metrics.skewRejects.value(); got < 1 {
-		t.Fatalf("skew rejections counter = %d, want at least 1", got)
+	if got := rt.metrics.skewRejects.Value(); got < 1 {
+		t.Fatalf("skew rejections httpapi.Counter = %d, want at least 1", got)
 	}
 }
 

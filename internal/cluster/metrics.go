@@ -4,73 +4,24 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
+
+	"repro/internal/httpapi"
 )
-
-// counter is a monotonically increasing metric.
-type counter struct{ v atomic.Int64 }
-
-func (c *counter) inc()         { c.v.Add(1) }
-func (c *counter) value() int64 { return c.v.Load() }
 
 // metrics aggregates the router's observables. All fields are safe for
 // concurrent use.
 type metrics struct {
-	mu       sync.Mutex
-	requests map[requestKey]*counter // per (endpoint, status code)
+	requests httpapi.Requests // per (endpoint, status code)
 
-	retries      counter // attempts escalated after a retryable failure
-	hedges       counter // duplicate attempts launched on slow responses
-	ejections    counter // healthy→ejected transitions (probe or traffic)
-	readmissions counter // ejected→healthy transitions
-	skewRejects  counter // responses refused over fingerprint disagreement
+	retries      httpapi.Counter // attempts escalated after a retryable failure
+	hedges       httpapi.Counter // duplicate attempts launched on slow responses
+	ejections    httpapi.Counter // healthy→ejected transitions (probe or traffic)
+	readmissions httpapi.Counter // ejected→healthy transitions
+	skewRejects  httpapi.Counter // responses refused over fingerprint disagreement
 
-	probes        counter
-	probeFailures counter
-}
-
-type requestKey struct {
-	endpoint string
-	code     int
-}
-
-func newMetrics() *metrics {
-	return &metrics{requests: map[requestKey]*counter{}}
-}
-
-func (m *metrics) countRequest(endpoint string, code int) {
-	k := requestKey{endpoint, code}
-	m.mu.Lock()
-	c, ok := m.requests[k]
-	if !ok {
-		c = &counter{}
-		m.requests[k] = c
-	}
-	m.mu.Unlock()
-	c.inc()
-}
-
-// statusRecorder captures the response code for request accounting.
-type statusRecorder struct {
-	http.ResponseWriter
-	code int
-}
-
-func (r *statusRecorder) WriteHeader(code int) {
-	r.code = code
-	r.ResponseWriter.WriteHeader(code)
-}
-
-// counted wraps a handler with per-(endpoint, code) request counting.
-func (rt *Router) counted(endpoint string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
-		h(rec, r)
-		rt.metrics.countRequest(endpoint, rec.code)
-	}
+	probes        httpapi.Counter
+	probeFailures httpapi.Counter
 }
 
 // BackendHealth is one backend's entry in the router /healthz body.
@@ -157,7 +108,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if hr.Status == "down" || hr.Status == "skew" {
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, hr)
+	httpapi.WriteJSON(w, code, hr)
 }
 
 // handleMetrics serves GET /metrics in the Prometheus text format.
@@ -168,25 +119,7 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 func (rt *Router) render(w io.Writer) {
 	m := rt.metrics
-	m.mu.Lock()
-	keys := make([]requestKey, 0, len(m.requests))
-	for k := range m.requests {
-		keys = append(keys, k)
-	}
-	m.mu.Unlock()
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].endpoint != keys[j].endpoint {
-			return keys[i].endpoint < keys[j].endpoint
-		}
-		return keys[i].code < keys[j].code
-	})
-	for _, k := range keys {
-		m.mu.Lock()
-		c := m.requests[k]
-		m.mu.Unlock()
-		fmt.Fprintf(w, "dramrouter_requests_total{endpoint=%q,code=\"%d\"} %d\n",
-			k.endpoint, k.code, c.value())
-	}
+	m.requests.Render(w, "dramrouter_requests_total")
 	hr := rt.poolHealth()
 	fmt.Fprintf(w, "dramrouter_backends %d\n", len(rt.backends))
 	fmt.Fprintf(w, "dramrouter_backends_healthy %d\n", hr.Healthy)
@@ -204,14 +137,14 @@ func (rt *Router) render(w io.Writer) {
 		fmt.Fprintf(w, "dramrouter_backend_up%s %d\n", labels, up)
 		fmt.Fprintf(w, "dramrouter_backend_generation%s %d\n", labels, b.generation.Load())
 		fmt.Fprintf(w, "dramrouter_backend_info{backend=%q,fingerprint=%q} 1\n", b.addr, b.fp())
-		fmt.Fprintf(w, "dramrouter_backend_requests_total{backend=%q,outcome=\"ok\"} %d\n", b.addr, b.subOK.value())
-		fmt.Fprintf(w, "dramrouter_backend_requests_total{backend=%q,outcome=\"error\"} %d\n", b.addr, b.subErr.value())
+		fmt.Fprintf(w, "dramrouter_backend_requests_total{backend=%q,outcome=\"ok\"} %d\n", b.addr, b.subOK.Value())
+		fmt.Fprintf(w, "dramrouter_backend_requests_total{backend=%q,outcome=\"error\"} %d\n", b.addr, b.subErr.Value())
 	}
-	fmt.Fprintf(w, "dramrouter_retries_total %d\n", m.retries.value())
-	fmt.Fprintf(w, "dramrouter_hedges_total %d\n", m.hedges.value())
-	fmt.Fprintf(w, "dramrouter_ejections_total %d\n", m.ejections.value())
-	fmt.Fprintf(w, "dramrouter_readmissions_total %d\n", m.readmissions.value())
-	fmt.Fprintf(w, "dramrouter_fingerprint_skew_rejections_total %d\n", m.skewRejects.value())
-	fmt.Fprintf(w, "dramrouter_probes_total %d\n", m.probes.value())
-	fmt.Fprintf(w, "dramrouter_probe_failures_total %d\n", m.probeFailures.value())
+	fmt.Fprintf(w, "dramrouter_retries_total %d\n", m.retries.Value())
+	fmt.Fprintf(w, "dramrouter_hedges_total %d\n", m.hedges.Value())
+	fmt.Fprintf(w, "dramrouter_ejections_total %d\n", m.ejections.Value())
+	fmt.Fprintf(w, "dramrouter_readmissions_total %d\n", m.readmissions.Value())
+	fmt.Fprintf(w, "dramrouter_fingerprint_skew_rejections_total %d\n", m.skewRejects.Value())
+	fmt.Fprintf(w, "dramrouter_probes_total %d\n", m.probes.Value())
+	fmt.Fprintf(w, "dramrouter_probe_failures_total %d\n", m.probeFailures.Value())
 }

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/httpapi"
 	"repro/internal/serve"
 )
 
@@ -33,8 +34,8 @@ type backendState struct {
 	fingerprint atomic.Value // string
 	lastErr     atomic.Value // string
 
-	subOK  counter // proxied attempts answered (any HTTP status)
-	subErr counter // proxied attempts failed in transport or with 5xx
+	subOK  httpapi.Counter // proxied attempts answered (any HTTP status)
+	subErr httpapi.Counter // proxied attempts failed in transport or with 5xx
 }
 
 func newBackendState(addr string) *backendState {
@@ -103,18 +104,18 @@ func (rt *Router) probeAll() {
 // serve.HealthResponse probing contract, recording artifact identity on
 // success and advancing the ejection streak on failure.
 func (rt *Router) probe(b *backendState) {
-	rt.metrics.probes.inc()
+	rt.metrics.probes.Inc()
 	err := rt.probeOnce(b)
 	if err == nil {
 		if b.noteSuccess() {
-			rt.metrics.readmissions.inc()
+			rt.metrics.readmissions.Inc()
 			rt.logf("backend %s re-admitted", b.addr)
 		}
 		return
 	}
-	rt.metrics.probeFailures.inc()
+	rt.metrics.probeFailures.Inc()
 	if b.noteFailure(err, rt.failAfter) {
-		rt.metrics.ejections.inc()
+		rt.metrics.ejections.Inc()
 		rt.logf("backend %s ejected: %v", b.addr, err)
 	}
 }
@@ -131,7 +132,7 @@ func (rt *Router) probeOnce(b *backendState) error {
 		return err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
+	data, err := io.ReadAll(io.LimitReader(resp.Body, httpapi.MaxBodyBytes))
 	if err != nil {
 		return err
 	}

@@ -4,136 +4,27 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
-	"fmt"
 	"io"
-	"mime"
 	"net/http"
 	"strconv"
 	"sync"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/httpapi"
 	"repro/internal/serve"
 )
 
-// Body and batch caps mirror dramserve's: the router enforces the same
-// limits so a request rejected here would have been rejected there.
+// maxBatch mirrors dramserve's batch cap, so a batch rejected here would
+// have been rejected there.
+const maxBatch = 1024
+
+// The router's own /v2 error codes, beside the shared httpapi codes and the
+// backend codes it passes through verbatim.
 const (
-	maxBodyBytes = 1 << 20
-	maxBatch     = 1024
+	codeUpstream        = "upstream"         // every candidate backend failed
+	codeFingerprintSkew = "fingerprint_skew" // backends on different artifacts
 )
-
-// The router's own /v2 error codes, alongside the backend codes it passes
-// through verbatim.
-const (
-	codeMalformedBody    = "malformed_body"
-	codeBodyTooLarge     = "body_too_large"
-	codeMethodNotAllowed = "method_not_allowed"
-	codeUnsupportedMedia = "unsupported_media_type"
-	codeEmptyBatch       = "empty_batch"
-	codeBatchTooLarge    = "batch_too_large"
-	codeUpstream         = "upstream"         // every candidate backend failed
-	codeFingerprintSkew  = "fingerprint_skew" // backends on different artifacts
-	codeUnavailable      = "unavailable"
-)
-
-// apiErr is the structured /v2 error shape, either minted by the router or
-// decoded from a backend response for pass-through.
-type apiErr struct {
-	status int
-	code   string
-	field  string
-	msg    string
-}
-
-func (e *apiErr) Error() string { return e.msg }
-
-func errf(status int, code, field, format string, args ...any) *apiErr {
-	return &apiErr{status: status, code: code, field: field, msg: fmt.Sprintf(format, args...)}
-}
-
-// at returns a copy locating the error at batch query i — the same
-// message prefix dramserve uses, so batch errors through the router read
-// identically.
-func (e *apiErr) at(i int) *apiErr {
-	cp := *e
-	cp.msg = fmt.Sprintf("query %d: %s", i, e.msg)
-	return &cp
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	data, err := json.Marshal(v)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	w.Write(data)
-	w.Write([]byte{'\n'})
-}
-
-func writeErr(w http.ResponseWriter, e *apiErr) {
-	writeJSON(w, e.status, map[string]any{"error": map[string]string{
-		"code":    e.code,
-		"field":   e.field,
-		"message": e.msg,
-	}})
-}
-
-// endpoint enforces the uniform method contract (the same one dramserve's
-// endpoint wrapper enforces): wrong method is 405 with Allow set, non-JSON
-// POST content is 415, POST bodies are capped.
-func endpoint(method string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != method {
-			w.Header().Set("Allow", method)
-			writeErr(w, errf(http.StatusMethodNotAllowed, codeMethodNotAllowed, "",
-				"%s not allowed", r.Method))
-			return
-		}
-		if method == http.MethodPost {
-			if ct := r.Header.Get("Content-Type"); !jsonContentType(ct) {
-				writeErr(w, errf(http.StatusUnsupportedMediaType, codeUnsupportedMedia, "",
-					"content type %q not supported (use application/json)", ct))
-				return
-			}
-			r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-		}
-		h(w, r)
-	}
-}
-
-func jsonContentType(ct string) bool {
-	if ct == "" {
-		return true
-	}
-	mt, _, err := mime.ParseMediaType(ct)
-	return err == nil && mt == "application/json"
-}
-
-// decodeBody strictly decodes a JSON request body, mirroring dramserve's
-// contract: unknown fields rejected, 413 past the cap, trailing data
-// rejected.
-func decodeBody(r *http.Request, v any) *apiErr {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			return errf(http.StatusRequestEntityTooLarge, codeBodyTooLarge, "",
-				"request body exceeds %d bytes", mbe.Limit)
-		}
-		return errf(http.StatusBadRequest, codeMalformedBody, "", "malformed body: %v", err)
-	}
-	var extra struct{}
-	if err := dec.Decode(&extra); err != io.EOF {
-		return errf(http.StatusBadRequest, codeMalformedBody, "",
-			"malformed body: trailing data after the JSON document")
-	}
-	return nil
-}
 
 // predictBody accepts either a single query or a batch (the /v2 shape).
 type predictBody struct {
@@ -145,8 +36,8 @@ type predictBody struct {
 // retry and hedging, merge, and refuse fingerprint-skewed merges.
 func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request) {
 	var body predictBody
-	if e := decodeBody(r, &body); e != nil {
-		writeErr(w, e)
+	if e := httpapi.DecodeBody(r, &body); e != nil {
+		httpapi.WriteError(w, e)
 		return
 	}
 	if body.Queries != nil {
@@ -155,10 +46,10 @@ func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 	item, gen, fp, e := rt.routeOne(r.Context(), body.PredictRequestV2)
 	if e != nil {
-		writeErr(w, e)
+		httpapi.WriteError(w, e)
 		return
 	}
-	writeJSON(w, http.StatusOK, &serve.PredictResponseV2{
+	httpapi.WriteJSON(w, http.StatusOK, &serve.PredictResponseV2{
 		PredictItemV2: *item,
 		Generation:    gen,
 		Fingerprint:   fp,
@@ -167,18 +58,18 @@ func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request) {
 
 func (rt *Router) predictBatch(w http.ResponseWriter, ctx context.Context, qs []serve.PredictRequestV2) {
 	if len(qs) == 0 {
-		writeErr(w, errf(http.StatusBadRequest, codeEmptyBatch, "queries", "empty batch"))
+		httpapi.WriteError(w, httpapi.Errf(http.StatusBadRequest, httpapi.CodeEmptyBatch, "queries", "empty batch"))
 		return
 	}
 	if len(qs) > maxBatch {
-		writeErr(w, errf(http.StatusBadRequest, codeBatchTooLarge, "queries",
+		httpapi.WriteError(w, httpapi.Errf(http.StatusBadRequest, httpapi.CodeBatchTooLarge, "queries",
 			"batch of %d exceeds %d", len(qs), maxBatch))
 		return
 	}
 	items := make([]*serve.PredictItemV2, len(qs))
 	gens := make([]int64, len(qs))
 	fps := make([]string, len(qs))
-	errs := make([]*apiErr, len(qs))
+	errs := make([]*httpapi.Error, len(qs))
 	var wg sync.WaitGroup
 	for i := range qs {
 		wg.Add(1)
@@ -190,7 +81,7 @@ func (rt *Router) predictBatch(w http.ResponseWriter, ctx context.Context, qs []
 	wg.Wait()
 	for i, e := range errs {
 		if e != nil {
-			writeErr(w, e.at(i))
+			httpapi.WriteError(w, e.At(i))
 			return
 		}
 	}
@@ -199,8 +90,8 @@ func (rt *Router) predictBatch(w http.ResponseWriter, ctx context.Context, qs []
 	gen, fp := gens[0], fps[0]
 	for i := 1; i < len(fps); i++ {
 		if fps[i] != fp {
-			rt.metrics.skewRejects.inc()
-			writeErr(w, errf(http.StatusBadGateway, codeFingerprintSkew, "",
+			rt.metrics.skewRejects.Inc()
+			httpapi.WriteError(w, httpapi.Errf(http.StatusBadGateway, codeFingerprintSkew, "",
 				"backends disagree on artifact fingerprint (%s vs %s): refusing to mix generations", fp, fps[i]))
 			return
 		}
@@ -208,7 +99,7 @@ func (rt *Router) predictBatch(w http.ResponseWriter, ctx context.Context, qs []
 			gen = gens[i]
 		}
 	}
-	writeJSON(w, http.StatusOK, &serve.PredictBatchResponseV2{
+	httpapi.WriteJSON(w, http.StatusOK, &serve.PredictBatchResponseV2{
 		Results:     items,
 		Generation:  gen,
 		Fingerprint: fp,
@@ -297,10 +188,10 @@ type subResult struct {
 
 // routeOne answers one query: fan out per owner group, merge the
 // per-target answers, and refuse to merge across fingerprints.
-func (rt *Router) routeOne(ctx context.Context, q serve.PredictRequestV2) (*serve.PredictItemV2, int64, string, *apiErr) {
+func (rt *Router) routeOne(ctx context.Context, q serve.PredictRequestV2) (*serve.PredictItemV2, int64, string, *httpapi.Error) {
 	groups := rt.groups(q)
 	if len(groups) == 0 {
-		return nil, 0, "", errf(http.StatusServiceUnavailable, codeUnavailable, "", "no backends")
+		return nil, 0, "", httpapi.Errf(http.StatusServiceUnavailable, httpapi.CodeUnavailable, "", "no backends")
 	}
 	if len(groups) == 1 {
 		res, e := rt.subCall(ctx, groups[0])
@@ -310,7 +201,7 @@ func (rt *Router) routeOne(ctx context.Context, q serve.PredictRequestV2) (*serv
 		return res.item, res.gen, res.fp, nil
 	}
 	results := make([]subResult, len(groups))
-	errs := make([]*apiErr, len(groups))
+	errs := make([]*httpapi.Error, len(groups))
 	var wg sync.WaitGroup
 	for i := range groups {
 		wg.Add(1)
@@ -331,8 +222,8 @@ func (rt *Router) routeOne(ctx context.Context, q serve.PredictRequestV2) (*serv
 	merged := results[0]
 	for _, res := range results[1:] {
 		if res.fp != merged.fp {
-			rt.metrics.skewRejects.inc()
-			return nil, 0, "", errf(http.StatusBadGateway, codeFingerprintSkew, "",
+			rt.metrics.skewRejects.Inc()
+			return nil, 0, "", httpapi.Errf(http.StatusBadGateway, codeFingerprintSkew, "",
 				"backends disagree on artifact fingerprint (%s vs %s): refusing to mix generations",
 				merged.fp, res.fp)
 		}
@@ -356,17 +247,17 @@ func (rt *Router) routeOne(ctx context.Context, q serve.PredictRequestV2) (*serv
 // immediately, a response slower than hedgeAfter launches a duplicate to
 // the next candidate, and the first success wins. 4xx responses are
 // terminal pass-throughs — retrying a validation error is pointless.
-func (rt *Router) subCall(ctx context.Context, g group) (subResult, *apiErr) {
+func (rt *Router) subCall(ctx context.Context, g group) (subResult, *httpapi.Error) {
 	payload, err := json.Marshal(g.q)
 	if err != nil {
-		return subResult{}, errf(http.StatusInternalServerError, "internal", "", "%v", err)
+		return subResult{}, httpapi.Errf(http.StatusInternalServerError, httpapi.CodeInternal, "", "%v", err)
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel() // reap the losing hedge/straggler attempts
 
 	type attemptOut struct {
 		res       subResult
-		e         *apiErr
+		e         *httpapi.Error
 		retryable bool
 	}
 	outs := make(chan attemptOut, len(g.cands))
@@ -392,7 +283,7 @@ func (rt *Router) subCall(ctx context.Context, g group) (subResult, *apiErr) {
 		defer t.Stop()
 		hedgeC = t.C
 	}
-	var lastErr *apiErr
+	var lastErr *httpapi.Error
 	for inflight > 0 {
 		select {
 		case out := <-outs:
@@ -406,21 +297,21 @@ func (rt *Router) subCall(ctx context.Context, g group) (subResult, *apiErr) {
 			lastErr = out.e
 			if launch() {
 				inflight++
-				rt.metrics.retries.inc()
+				rt.metrics.retries.Inc()
 			}
 		case <-hedgeC:
 			hedgeC = nil // hedge once per sub-call
 			if launch() {
 				inflight++
-				rt.metrics.hedges.inc()
+				rt.metrics.hedges.Inc()
 			}
 		case <-ctx.Done():
-			return subResult{}, errf(http.StatusServiceUnavailable, codeUnavailable, "",
+			return subResult{}, httpapi.Errf(http.StatusServiceUnavailable, httpapi.CodeUnavailable, "",
 				"request canceled: %v", ctx.Err())
 		}
 	}
 	if lastErr == nil {
-		lastErr = errf(http.StatusBadGateway, codeUpstream, "", "all backends failed")
+		lastErr = httpapi.Errf(http.StatusBadGateway, codeUpstream, "", "all backends failed")
 	}
 	return subResult{}, lastErr
 }
@@ -428,7 +319,7 @@ func (rt *Router) subCall(ctx context.Context, g group) (subResult, *apiErr) {
 // attempt proxies one group to one backend. The bool reports whether a
 // failure is retryable on another backend (transport errors and 5xx: the
 // backend, not the query, is at fault).
-func (rt *Router) attempt(parent context.Context, b *backendState, payload []byte) (subResult, *apiErr, bool) {
+func (rt *Router) attempt(parent context.Context, b *backendState, payload []byte) (subResult, *httpapi.Error, bool) {
 	ctx := parent
 	if rt.reqTimeout > 0 {
 		var cancel context.CancelFunc
@@ -438,7 +329,7 @@ func (rt *Router) attempt(parent context.Context, b *backendState, payload []byt
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
 		b.addr+"/v2/predict", bytes.NewReader(payload))
 	if err != nil {
-		return subResult{}, errf(http.StatusInternalServerError, "internal", "", "%v", err), false
+		return subResult{}, httpapi.Errf(http.StatusInternalServerError, httpapi.CodeInternal, "", "%v", err), false
 	}
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := rt.client.Do(req)
@@ -449,38 +340,38 @@ func (rt *Router) attempt(parent context.Context, b *backendState, payload []byt
 			// must not feed the ejection streak (a hedge-losing backend
 			// would otherwise be ejected for the crime of being slower
 			// once).
-			return subResult{}, errf(http.StatusServiceUnavailable, codeUnavailable, "",
+			return subResult{}, httpapi.Errf(http.StatusServiceUnavailable, httpapi.CodeUnavailable, "",
 				"%s: %v", b.addr, err), false
 		}
 		// Transport failure: the backend never answered. Feed the ejection
 		// streak so a dead backend stops being anyone's owner quickly, even
 		// between probes.
-		b.subErr.inc()
+		b.subErr.Inc()
 		if b.noteFailure(err, rt.failAfter) {
-			rt.metrics.ejections.inc()
+			rt.metrics.ejections.Inc()
 			rt.logf("backend %s ejected (traffic): %v", b.addr, err)
 		}
-		return subResult{}, errf(http.StatusBadGateway, codeUpstream, "", "%s: %v", b.addr, err), true
+		return subResult{}, httpapi.Errf(http.StatusBadGateway, codeUpstream, "", "%s: %v", b.addr, err), true
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes+1))
+	data, err := io.ReadAll(io.LimitReader(resp.Body, httpapi.MaxBodyBytes+1))
 	if err != nil {
-		b.subErr.inc()
-		return subResult{}, errf(http.StatusBadGateway, codeUpstream, "", "%s: %v", b.addr, err), true
+		b.subErr.Inc()
+		return subResult{}, httpapi.Errf(http.StatusBadGateway, codeUpstream, "", "%s: %v", b.addr, err), true
 	}
 	// The backend answered: whatever the status, it is alive.
 	if b.noteSuccess() {
-		rt.metrics.readmissions.inc()
+		rt.metrics.readmissions.Inc()
 		rt.logf("backend %s re-admitted (traffic)", b.addr)
 	}
 	if resp.StatusCode == http.StatusOK {
 		var out serve.PredictResponseV2
 		if err := json.Unmarshal(data, &out); err != nil {
-			b.subErr.inc()
-			return subResult{}, errf(http.StatusBadGateway, codeUpstream, "",
+			b.subErr.Inc()
+			return subResult{}, httpapi.Errf(http.StatusBadGateway, codeUpstream, "",
 				"%s: malformed response: %v", b.addr, err), true
 		}
-		b.subOK.inc()
+		b.subOK.Inc()
 		return subResult{item: &out.PredictItemV2, gen: out.Generation, fp: out.Fingerprint}, nil, false
 	}
 	// Structured backend errors pass through verbatim; 5xx are retryable.
@@ -493,18 +384,18 @@ func (rt *Router) attempt(parent context.Context, b *backendState, payload []byt
 	}
 	retryable := resp.StatusCode >= 500
 	if retryable {
-		b.subErr.inc()
+		b.subErr.Inc()
 	} else {
-		b.subOK.inc()
+		b.subOK.Inc()
 	}
 	if err := json.Unmarshal(data, &werr); err == nil && werr.Error.Code != "" {
-		return subResult{}, &apiErr{
-			status: resp.StatusCode,
-			code:   werr.Error.Code,
-			field:  werr.Error.Field,
-			msg:    werr.Error.Message,
+		return subResult{}, &httpapi.Error{
+			Status: resp.StatusCode,
+			Code:   werr.Error.Code,
+			Field:  werr.Error.Field,
+			Msg:    werr.Error.Message,
 		}, retryable
 	}
-	return subResult{}, errf(http.StatusBadGateway, codeUpstream, "",
+	return subResult{}, httpapi.Errf(http.StatusBadGateway, codeUpstream, "",
 		"%s: %s: %.200s", b.addr, resp.Status, data), retryable
 }

@@ -89,7 +89,7 @@ func ExampleTrain() {
 
 // ExamplePredictor_PredictBatch evaluates a batch on a bounded worker
 // pool. The results are bit-identical to per-query Predict calls at every
-// worker count — the property the serving layer's micro-batcher relies on.
+// worker count.
 func ExamplePredictor_PredictBatch() {
 	ds := exampleDataset()
 	pred, err := core.Train(ds, core.TargetPUE, core.ModelKNN, 0, 1)

@@ -5,6 +5,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"repro/internal/httpapi"
 )
 
 // replayBody is a resettable request body so the decode benchmark can
@@ -31,7 +33,7 @@ func BenchmarkDecodePredictV2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		body.Reset(doc)
 		v := v2BodyPool.Get().(*predictBodyV2)
-		if e := decodeBody(req, v); e != nil {
+		if e := httpapi.DecodeBody(req, v); e != nil {
 			b.Fatalf("decode failed: %v", e)
 		}
 		putV2Body(v)

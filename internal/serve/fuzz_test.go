@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/httpapi"
 	"repro/internal/profile"
 	"repro/internal/workload"
 )
@@ -44,16 +45,16 @@ func FuzzDecodePredictV2(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fresh := new(predictBodyV2)
-		freshErr := decodeBody(httptest.NewRequest("POST", "/v2/predict", bytes.NewReader(data)), fresh)
+		freshErr := httpapi.DecodeBody(httptest.NewRequest("POST", "/v2/predict", bytes.NewReader(data)), fresh)
 
 		// Dirty a pooled body with the poison document, recycle it, then
 		// decode the fuzz document into the recycled body.
 		recycled := v2BodyPool.Get().(*predictBodyV2)
-		_ = decodeBody(httptest.NewRequest("POST", "/v2/predict", bytes.NewReader(poison)), recycled)
+		_ = httpapi.DecodeBody(httptest.NewRequest("POST", "/v2/predict", bytes.NewReader(poison)), recycled)
 		putV2Body(recycled)
 		recycled = v2BodyPool.Get().(*predictBodyV2)
 		defer putV2Body(recycled)
-		recycledErr := decodeBody(httptest.NewRequest("POST", "/v2/predict", bytes.NewReader(data)), recycled)
+		recycledErr := httpapi.DecodeBody(httptest.NewRequest("POST", "/v2/predict", bytes.NewReader(data)), recycled)
 
 		if (freshErr == nil) != (recycledErr == nil) {
 			t.Fatalf("fresh decode err=%v, recycled decode err=%v", freshErr, recycledErr)
@@ -93,7 +94,7 @@ func FuzzIngestRows(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var body IngestRequestV2
-		if e := decodeBody(httptest.NewRequest("POST", "/v2/ingest", bytes.NewReader(data)), &body); e != nil {
+		if e := httpapi.DecodeBody(httptest.NewRequest("POST", "/v2/ingest", bytes.NewReader(data)), &body); e != nil {
 			return
 		}
 		for i := range body.Rows {

@@ -1,187 +1,40 @@
 package serve
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
-	"fmt"
-	"io"
-	"mime"
 	"net/http"
-	"sync"
+
+	"repro/internal/httpapi"
 )
 
-// maxBodyBytes bounds one request body. The largest legitimate body — a
-// maxBatchBody-query batch — is well under this.
-const maxBodyBytes = 1 << 20
+// errClosed reports a request caught by server shutdown.
+var errClosed = errors.New("serve: server closed")
 
-// The machine-readable error codes of the /v2 surface. Every error
-// response carries exactly one, plus the offending field where one exists.
+// The serve-only /v2 error codes, beside the shared ones in httpapi.
 const (
-	codeMalformedBody     = "malformed_body"
-	codeBodyTooLarge      = "body_too_large"
-	codeMethodNotAllowed  = "method_not_allowed"
-	codeUnsupportedMedia  = "unsupported_media_type"
 	codeUnknownWorkload   = "unknown_workload"
 	codeUnknownModel      = "unknown_model"
 	codeUnknownTarget     = "unknown_target"
 	codeTargetUnavailable = "target_unavailable"
 	codeBadTelemetry      = "bad_telemetry"
 	codeOutOfRange        = "out_of_range"
-	codeEmptyBatch        = "empty_batch"
-	codeBatchTooLarge     = "batch_too_large"
-	codeInternal          = "internal"
-	codeUnavailable       = "unavailable"
 	codeNotArtifactBacked = "not_artifact_backed"
 	codeQueueFull         = "queue_full"
 	codeRetrainInProgress = "retrain_in_progress"
 	codeIngestDisabled    = "ingest_disabled"
 )
 
-// apiError is a validation or serving failure with everything both wire
-// formats need: the HTTP status, the /v2 machine-readable code and field,
-// and the human message (/v1 renders only the message, keeping its legacy
-// string format).
-type apiError struct {
-	status int
-	code   string
-	field  string
-	msg    string
-}
-
-func (e *apiError) Error() string { return e.msg }
-
-// errf builds an apiError.
-func errf(status int, code, field, format string, args ...any) *apiError {
-	return &apiError{status: status, code: code, field: field, msg: fmt.Sprintf(format, args...)}
-}
-
-// at returns a copy locating the error at batch query i.
-func (e *apiError) at(i int) *apiError {
-	cp := *e
-	cp.msg = fmt.Sprintf("query %d: %s", i, e.msg)
-	return &cp
-}
-
 // servingErr maps a predict/profile/registry failure: server shutdown is
 // 503, anything else 500.
-func servingErr(err error) *apiError {
+func servingErr(err error) *httpapi.Error {
 	if errors.Is(err, errClosed) {
-		return errf(http.StatusServiceUnavailable, codeUnavailable, "", "%v", err)
+		return httpapi.Errf(http.StatusServiceUnavailable, httpapi.CodeUnavailable, "", "%v", err)
 	}
-	return errf(http.StatusInternalServerError, codeInternal, "", "%v", err)
+	return httpapi.Errf(http.StatusInternalServerError, httpapi.CodeInternal, "", "%v", err)
 }
-
-// errWriter renders an apiError in one wire format.
-type errWriter func(w http.ResponseWriter, e *apiError)
 
 // writeErrorV1 keeps the /v1 legacy error shape: {"error": "serve: ..."}.
-func writeErrorV1(w http.ResponseWriter, e *apiError) {
-	writeJSON(w, e.status, map[string]string{"error": "serve: " + e.msg})
-}
-
-// writeErrorV2 renders the structured /v2 shape:
-// {"error": {"code": ..., "field": ..., "message": ...}}.
-func writeErrorV2(w http.ResponseWriter, e *apiError) {
-	writeJSON(w, e.status, map[string]any{"error": map[string]string{
-		"code":    e.code,
-		"field":   e.field,
-		"message": e.msg,
-	}})
-}
-
-// jsonWriter is a pooled response-encoding buffer: the encoder is bound to
-// the buffer once, so a warm response reuses both instead of allocating an
-// encoder and growing fresh buffer segments per request. Responses large
-// enough to be pathological pool citizens are dropped rather than recycled.
-type jsonWriter struct {
-	buf bytes.Buffer
-	enc *json.Encoder
-}
-
-const maxPooledResponse = 1 << 20
-
-var jsonWriterPool = sync.Pool{New: func() any {
-	jw := &jsonWriter{}
-	jw.enc = json.NewEncoder(&jw.buf)
-	return jw
-}}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	jw := jsonWriterPool.Get().(*jsonWriter)
-	jw.buf.Reset()
-	// Encode first so a marshal failure cannot truncate an already-started
-	// body; the bytes (including the encoder's trailing newline) match the
-	// streaming encoder this replaced, keeping the golden wire fixtures
-	// byte-identical.
-	_ = jw.enc.Encode(v)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_, _ = w.Write(jw.buf.Bytes())
-	if jw.buf.Cap() <= maxPooledResponse {
-		jsonWriterPool.Put(jw)
-	}
-}
-
-// jsonContentType accepts application/json with any parameters. An empty
-// content type is allowed too (curl -XPOST sends none).
-func jsonContentType(ct string) bool {
-	if ct == "" {
-		return true
-	}
-	mt, _, err := mime.ParseMediaType(ct)
-	return err == nil && mt == "application/json"
-}
-
-// endpoint enforces the uniform method contract on every handler: a wrong
-// method is always 405 with the Allow header set, a POST with a
-// non-JSON content type is always 415, and POST bodies are capped at
-// maxBodyBytes. werr picks the wire format of the error body, so /v1
-// endpoints keep their legacy strings and /v2 gets structured codes.
-func endpoint(method string, werr errWriter, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != method {
-			w.Header().Set("Allow", method)
-			werr(w, errf(http.StatusMethodNotAllowed, codeMethodNotAllowed, "",
-				"%s not allowed", r.Method))
-			return
-		}
-		if method == http.MethodPost {
-			if ct := r.Header.Get("Content-Type"); !jsonContentType(ct) {
-				werr(w, errf(http.StatusUnsupportedMediaType, codeUnsupportedMedia, "",
-					"content type %q not supported (use application/json)", ct))
-				return
-			}
-			r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-		}
-		h(w, r)
-	}
-}
-
-// decodeErr maps a JSON decode failure: a body past the size cap is 413,
-// anything else 400.
-func decodeErr(err error) *apiError {
-	var mbe *http.MaxBytesError
-	if errors.As(err, &mbe) {
-		return errf(http.StatusRequestEntityTooLarge, codeBodyTooLarge, "",
-			"request body exceeds %d bytes", mbe.Limit)
-	}
-	return errf(http.StatusBadRequest, codeMalformedBody, "", "malformed body: %v", err)
-}
-
-// decodeBody strictly decodes a JSON request body into v: unknown fields
-// are rejected, a body past the size cap maps to 413, and trailing data
-// after the document is rejected (trailing whitespace is fine).
-func decodeBody(r *http.Request, v any) *apiError {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return decodeErr(err)
-	}
-	var extra struct{}
-	if err := dec.Decode(&extra); err != io.EOF {
-		return errf(http.StatusBadRequest, codeMalformedBody, "",
-			"malformed body: trailing data after the JSON document")
-	}
-	return nil
+// /v1 renders only the message; the /v2 shape is httpapi.WriteError.
+func writeErrorV1(w http.ResponseWriter, e *httpapi.Error) {
+	httpapi.WriteJSON(w, e.Status, map[string]string{"error": "serve: " + e.Msg})
 }

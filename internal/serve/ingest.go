@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dram"
 	"repro/internal/engine"
+	"repro/internal/httpapi"
 	"repro/internal/ingest"
 	"repro/internal/profile"
 	"repro/internal/workload"
@@ -49,8 +50,8 @@ type RetrainResponseV2 struct {
 
 // ingestDisabled is the uniform answer on both ingest endpoints when the
 // server runs without a pipeline.
-func ingestDisabled() *apiError {
-	return errf(http.StatusBadRequest, codeIngestDisabled, "",
+func ingestDisabled() *httpapi.Error {
+	return httpapi.Errf(http.StatusBadRequest, codeIngestDisabled, "",
 		"ingest disabled: the server was started without -ingest")
 }
 
@@ -60,20 +61,20 @@ func ingestDisabled() *apiError {
 // prefix count — the explicit backpressure contract.
 func (s *Server) handleIngestV2(w http.ResponseWriter, r *http.Request) {
 	if s.ingest == nil {
-		writeErrorV2(w, ingestDisabled())
+		httpapi.WriteError(w, ingestDisabled())
 		return
 	}
 	var body IngestRequestV2
-	if e := decodeBody(r, &body); e != nil {
-		writeErrorV2(w, e)
+	if e := httpapi.DecodeBody(r, &body); e != nil {
+		httpapi.WriteError(w, e)
 		return
 	}
 	if len(body.Rows) == 0 {
-		writeErrorV2(w, errf(http.StatusBadRequest, codeEmptyBatch, "rows", "empty batch"))
+		httpapi.WriteError(w, httpapi.Errf(http.StatusBadRequest, httpapi.CodeEmptyBatch, "rows", "empty batch"))
 		return
 	}
 	if len(body.Rows) > maxBatchBody {
-		writeErrorV2(w, errf(http.StatusBadRequest, codeBatchTooLarge, "rows",
+		httpapi.WriteError(w, httpapi.Errf(http.StatusBadRequest, httpapi.CodeBatchTooLarge, "rows",
 			"batch of %d exceeds %d", len(body.Rows), maxBatchBody))
 		return
 	}
@@ -84,7 +85,7 @@ func (s *Server) handleIngestV2(w http.ResponseWriter, r *http.Request) {
 			if field == "ce" {
 				code = codeBadTelemetry
 			}
-			writeErrorV2(w, errf(http.StatusBadRequest, code, field, "row %d: %v", i, err))
+			httpapi.WriteError(w, httpapi.Errf(http.StatusBadRequest, code, field, "row %d: %v", i, err))
 			return
 		}
 		// The workload label must resolve against the benchmark registry
@@ -92,7 +93,7 @@ func (s *Server) handleIngestV2(w http.ResponseWriter, r *http.Request) {
 		// unprofilable row it has already accepted.
 		if row.Workload != "" {
 			if _, err := workload.FindSpec(row.Workload); err != nil {
-				writeErrorV2(w, errf(http.StatusNotFound, codeUnknownWorkload, "workload",
+				httpapi.WriteError(w, httpapi.Errf(http.StatusNotFound, codeUnknownWorkload, "workload",
 					"row %d: %v", i, err))
 				return
 			}
@@ -102,14 +103,14 @@ func (s *Server) handleIngestV2(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		if errors.Is(err, ingest.ErrQueueFull) {
 			w.Header().Set("Retry-After", "1")
-			writeErrorV2(w, errf(http.StatusTooManyRequests, codeQueueFull, "rows",
+			httpapi.WriteError(w, httpapi.Errf(http.StatusTooManyRequests, codeQueueFull, "rows",
 				"queue full: accepted %d of %d rows, retry the rest later", n, len(body.Rows)))
 			return
 		}
-		writeErrorV2(w, servingErr(err))
+		httpapi.WriteError(w, servingErr(err))
 		return
 	}
-	writeJSON(w, http.StatusOK, &IngestResponseV2{
+	httpapi.WriteJSON(w, http.StatusOK, &IngestResponseV2{
 		Accepted:   n,
 		QueueDepth: s.ingest.Snapshot().QueueDepth,
 	})
@@ -123,24 +124,24 @@ func (s *Server) handleRetrainV2(w http.ResponseWriter, r *http.Request) {
 	dec.DisallowUnknownFields()
 	var body struct{}
 	if err := dec.Decode(&body); err != nil && err != io.EOF {
-		writeErrorV2(w, decodeErr(err))
+		httpapi.WriteError(w, httpapi.DecodeErr(err))
 		return
 	}
 	if s.ingest == nil {
-		writeErrorV2(w, ingestDisabled())
+		httpapi.WriteError(w, ingestDisabled())
 		return
 	}
 	n, err := s.ingest.RetrainNow()
 	if err != nil {
 		switch {
 		case errors.Is(err, ingest.ErrRetrainInProgress):
-			writeErrorV2(w, errf(http.StatusConflict, codeRetrainInProgress, "", "%v", err))
+			httpapi.WriteError(w, httpapi.Errf(http.StatusConflict, codeRetrainInProgress, "", "%v", err))
 		case errors.Is(err, ingest.ErrClosed):
-			writeErrorV2(w, errf(http.StatusServiceUnavailable, codeUnavailable, "", "%v", err))
+			httpapi.WriteError(w, httpapi.Errf(http.StatusServiceUnavailable, httpapi.CodeUnavailable, "", "%v", err))
 		default:
 			e := servingErr(err)
-			e.msg = "retrain: " + e.msg
-			writeErrorV2(w, e)
+			e.Msg = "retrain: " + e.Msg
+			httpapi.WriteError(w, e)
 		}
 		return
 	}
@@ -148,11 +149,11 @@ func (s *Server) handleRetrainV2(w http.ResponseWriter, r *http.Request) {
 	if res == nil {
 		// RetrainNow succeeded without a stored result only if the callback
 		// was never invoked, which cannot happen on a live pipeline.
-		writeErrorV2(w, errf(http.StatusInternalServerError, codeInternal, "",
+		httpapi.WriteError(w, httpapi.Errf(http.StatusInternalServerError, httpapi.CodeInternal, "",
 			"retrain completed without a result"))
 		return
 	}
-	writeJSON(w, http.StatusOK, &RetrainResponseV2{
+	httpapi.WriteJSON(w, http.StatusOK, &RetrainResponseV2{
 		Generation:  res.Generation,
 		Fingerprint: res.Fingerprint,
 		Swapped:     res.Swapped,
@@ -174,7 +175,6 @@ func (s *Server) retrainWith(rows []ingest.Row, reason string) (*core.TelemetryS
 		return nil, err
 	}
 	wer, pue, uer, err := s.convertRows(g, rows)
-	g.release()
 	if err != nil {
 		return nil, err
 	}

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/httpapi"
 	"repro/internal/ingest"
 	"repro/internal/profile"
 	"repro/internal/workload"
@@ -106,9 +107,9 @@ func TestIngestValidation(t *testing.T) {
 		code   string
 		field  string
 	}{
-		{"empty batch", `{"rows":[]}`, 400, codeEmptyBatch, "rows"},
-		{"missing rows", `{}`, 400, codeEmptyBatch, "rows"},
-		{"unknown field", `{"rows":[],"nope":1}`, 400, codeMalformedBody, ""},
+		{"empty batch", `{"rows":[]}`, 400, httpapi.CodeEmptyBatch, "rows"},
+		{"missing rows", `{}`, 400, httpapi.CodeEmptyBatch, "rows"},
+		{"unknown field", `{"rows":[],"nope":1}`, 400, httpapi.CodeMalformedBody, ""},
 		{"bad trefp", `{"rows":[{"trefp":0,"temp_c":60,"ue":1,"server":"s0"}]}`,
 			400, codeOutOfRange, "trefp"},
 		{"unordered ce", `{"rows":[{"trefp":1.8,"temp_c":60,"ue":0,"server":"s0","ce":[{"t":2},{"t":1}]}]}`,
@@ -147,8 +148,8 @@ func TestIngestValidation(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("oversized batch = %d, want 400", resp.StatusCode)
 	}
-	if code, _, _ := errV2(t, body); code != codeBatchTooLarge {
-		t.Fatalf("oversized batch code %q, want %q", code, codeBatchTooLarge)
+	if code, _, _ := errV2(t, body); code != httpapi.CodeBatchTooLarge {
+		t.Fatalf("oversized batch code %q, want %q", code, httpapi.CodeBatchTooLarge)
 	}
 }
 

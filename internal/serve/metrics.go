@@ -8,14 +8,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/httpapi"
 )
-
-// counter is a monotonically increasing metric.
-type counter struct{ v atomic.Int64 }
-
-func (c *counter) inc()         { c.v.Add(1) }
-func (c *counter) add(n int64)  { c.v.Add(n) }
-func (c *counter) value() int64 { return c.v.Load() }
 
 // latencyBuckets are the histogram upper bounds in seconds: a log scale
 // from 100 µs to 10 s bracketing the paper's 300 ms budget.
@@ -94,56 +89,46 @@ func (h *histogram) render(w io.Writer, name string) {
 
 // modelStat aggregates the serving traffic of one (target, kind, input
 // set) model: how many queries it answered (or failed), and the latency of
-// its micro-batched predict calls. Counters are server-lifetime — they
-// survive generation swaps, so a hot reload never resets the fleet's view
-// of the service (the /v2/stats cross-check contract).
+// its predict calls. Counters are server-lifetime — they survive
+// generation swaps, so a hot reload never resets the fleet's view of the
+// service (the /v2/stats cross-check contract).
 type modelStat struct {
-	queries counter // successfully answered queries
-	errors  counter // failed model resolutions or predictions
+	queries httpapi.Counter // successfully answered queries
+	errors  httpapi.Counter // failed model resolutions or predictions
 	latency *histogram
 }
 
 // metrics aggregates every observable of the serving layer. All fields are
 // safe for concurrent use.
 type metrics struct {
-	mu       sync.Mutex
-	requests map[requestKey]*counter // per (endpoint, status code)
+	requests httpapi.Requests // per (endpoint, status code)
 
 	modelMu sync.Mutex
 	models  map[modelKey]*modelStat // per (target, kind, input set)
 
-	profileHits     counter
-	profileMisses   counter
-	profileFailures counter // profile builds that errored (entry cleared, not cached)
-	modelHits       counter
-	modelMisses     counter
-	trainFailures   counter // model fits that errored (entry cleared, not cached)
-
-	batches        counter // micro-batch flushes
-	batchedQueries counter // queries carried by those flushes
+	profileHits     httpapi.Counter
+	profileMisses   httpapi.Counter
+	profileFailures httpapi.Counter // profile builds that errored (entry cleared, not cached)
+	modelHits       httpapi.Counter
+	modelMisses     httpapi.Counter
+	trainFailures   httpapi.Counter // model fits that errored (entry cleared, not cached)
 
 	// generationID is the serving generation (a gauge, not a counter: it
 	// reports the current value, bumped on every swap).
 	generationID atomic.Int64
-	reloads      counter // reloads that swapped in a new generation
-	reloadNoops  counter // reloads skipped on a matching fingerprint
-	reloadErrors counter // reloads that failed before any swap
+	reloads      httpapi.Counter // reloads that swapped in a new generation
+	reloadNoops  httpapi.Counter // reloads skipped on a matching fingerprint
+	reloadErrors httpapi.Counter // reloads that failed before any swap
 
 	trainSeconds   *histogram // one observation per model fit
-	predictSeconds *histogram // one observation per /v1/predict request
+	predictSeconds *histogram // one observation per /v1 or /v2 predict request
 	profileSeconds *histogram // one observation per profile build
 	reloadSeconds  *histogram // one observation per swapping reload
 	retrainSeconds *histogram // one observation per ingest-driven retrain
 }
 
-type requestKey struct {
-	endpoint string
-	code     int
-}
-
 func newMetrics() *metrics {
 	return &metrics{
-		requests:       map[requestKey]*counter{},
 		models:         map[modelKey]*modelStat{},
 		trainSeconds:   newHistogram(),
 		predictSeconds: newHistogram(),
@@ -186,58 +171,26 @@ func (m *metrics) modelKeys() []modelKey {
 	return keys
 }
 
-func (m *metrics) countRequest(endpoint string, code int) {
-	k := requestKey{endpoint, code}
-	m.mu.Lock()
-	c, ok := m.requests[k]
-	if !ok {
-		c = &counter{}
-		m.requests[k] = c
-	}
-	m.mu.Unlock()
-	c.inc()
-}
-
 // render writes the full exposition: request counts, cache accounting,
-// batching totals and the latency histograms.
+// per-model traffic, reload totals and the latency histograms.
 func (m *metrics) render(w io.Writer) {
-	m.mu.Lock()
-	keys := make([]requestKey, 0, len(m.requests))
-	for k := range m.requests {
-		keys = append(keys, k)
-	}
-	m.mu.Unlock()
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].endpoint != keys[j].endpoint {
-			return keys[i].endpoint < keys[j].endpoint
-		}
-		return keys[i].code < keys[j].code
-	})
-	for _, k := range keys {
-		m.mu.Lock()
-		c := m.requests[k]
-		m.mu.Unlock()
-		fmt.Fprintf(w, "dramserve_requests_total{endpoint=%q,code=\"%d\"} %d\n",
-			k.endpoint, k.code, c.value())
-	}
-	fmt.Fprintf(w, "dramserve_profile_cache_hits_total %d\n", m.profileHits.value())
-	fmt.Fprintf(w, "dramserve_profile_cache_misses_total %d\n", m.profileMisses.value())
-	fmt.Fprintf(w, "dramserve_profile_build_failures_total %d\n", m.profileFailures.value())
-	fmt.Fprintf(w, "dramserve_model_registry_hits_total %d\n", m.modelHits.value())
-	fmt.Fprintf(w, "dramserve_model_registry_misses_total %d\n", m.modelMisses.value())
-	fmt.Fprintf(w, "dramserve_model_train_failures_total %d\n", m.trainFailures.value())
-	fmt.Fprintf(w, "dramserve_predict_batches_total %d\n", m.batches.value())
-	fmt.Fprintf(w, "dramserve_predict_batched_queries_total %d\n", m.batchedQueries.value())
+	m.requests.Render(w, "dramserve_requests_total")
+	fmt.Fprintf(w, "dramserve_profile_cache_hits_total %d\n", m.profileHits.Value())
+	fmt.Fprintf(w, "dramserve_profile_cache_misses_total %d\n", m.profileMisses.Value())
+	fmt.Fprintf(w, "dramserve_profile_build_failures_total %d\n", m.profileFailures.Value())
+	fmt.Fprintf(w, "dramserve_model_registry_hits_total %d\n", m.modelHits.Value())
+	fmt.Fprintf(w, "dramserve_model_registry_misses_total %d\n", m.modelMisses.Value())
+	fmt.Fprintf(w, "dramserve_model_train_failures_total %d\n", m.trainFailures.Value())
 	for _, k := range m.modelKeys() {
 		st := m.modelStatFor(k)
 		labels := fmt.Sprintf("{target=%q,kind=%q,set=\"%d\"}", k.target, k.kind, k.set)
-		fmt.Fprintf(w, "dramserve_model_queries_total%s %d\n", labels, st.queries.value())
-		fmt.Fprintf(w, "dramserve_model_errors_total%s %d\n", labels, st.errors.value())
+		fmt.Fprintf(w, "dramserve_model_queries_total%s %d\n", labels, st.queries.Value())
+		fmt.Fprintf(w, "dramserve_model_errors_total%s %d\n", labels, st.errors.Value())
 	}
 	fmt.Fprintf(w, "dramserve_generation %d\n", m.generationID.Load())
-	fmt.Fprintf(w, "dramserve_reloads_total %d\n", m.reloads.value())
-	fmt.Fprintf(w, "dramserve_reload_noops_total %d\n", m.reloadNoops.value())
-	fmt.Fprintf(w, "dramserve_reload_errors_total %d\n", m.reloadErrors.value())
+	fmt.Fprintf(w, "dramserve_reloads_total %d\n", m.reloads.Value())
+	fmt.Fprintf(w, "dramserve_reload_noops_total %d\n", m.reloadNoops.Value())
+	fmt.Fprintf(w, "dramserve_reload_errors_total %d\n", m.reloadErrors.Value())
 	m.trainSeconds.render(w, "dramserve_train_seconds")
 	m.predictSeconds.render(w, "dramserve_predict_seconds")
 	m.profileSeconds.render(w, "dramserve_profile_seconds")

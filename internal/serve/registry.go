@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/httpapi"
 	"repro/internal/profile"
 	"repro/internal/workload"
 )
@@ -43,9 +44,9 @@ type cacheEntry[V any] struct {
 // that creates the entry (including a retry after a cleared failure — the
 // fill really runs again); requests arriving while a fill is in flight
 // block on done and count as hits (they pay nothing). build runs outside
-// the lock; stop aborts waiters when the generation shuts down.
+// the lock; stop aborts waiters when the server shuts down.
 func fillOnce[K comparable, V any](mu *sync.Mutex, entries map[K]*cacheEntry[V], k K,
-	stop <-chan struct{}, hits, misses, failures *counter,
+	stop <-chan struct{}, hits, misses, failures *httpapi.Counter,
 	build func() (V, error)) (V, error) {
 	var zero V
 	var lastErr error
@@ -56,7 +57,7 @@ func fillOnce[K comparable, V any](mu *sync.Mutex, entries map[K]*cacheEntry[V],
 			e = &cacheEntry[V]{done: make(chan struct{})}
 			entries[k] = e
 			mu.Unlock()
-			misses.inc()
+			misses.Inc()
 
 			v, err := build()
 			mu.Lock()
@@ -71,13 +72,13 @@ func fillOnce[K comparable, V any](mu *sync.Mutex, entries map[K]*cacheEntry[V],
 			mu.Unlock()
 			close(e.done)
 			if err != nil {
-				failures.inc()
+				failures.Inc()
 				return zero, err
 			}
 			return v, nil
 		}
 		mu.Unlock()
-		hits.inc()
+		hits.Inc()
 		select {
 		case <-e.done:
 		case <-stop:
@@ -102,12 +103,11 @@ type modelKey struct {
 	set    core.InputSet
 }
 
-// modelVal is a trained predictor plus the micro-batcher coalescing its
-// queries. The batcher is non-nil exactly when training succeeded.
+// modelVal is a trained predictor and how long its fit took. pred is
+// non-nil exactly when training succeeded.
 type modelVal struct {
 	pred     core.Predictor
 	trainDur time.Duration
-	batch    *batcher[core.Query, core.Prediction]
 }
 
 // modelRegistry trains and caches predictors per (target, kind, input set).
@@ -127,7 +127,7 @@ func (s *Server) model(g *generation, target core.Target, kind core.ModelKind, s
 	if err := s.closedErr(); err != nil {
 		return modelVal{}, err
 	}
-	return fillOnce(&g.registry.mu, g.registry.entries, modelKey{target, kind, set}, g.stop,
+	return fillOnce(&g.registry.mu, g.registry.entries, modelKey{target, kind, set}, s.stop,
 		&s.metrics.modelHits, &s.metrics.modelMisses, &s.metrics.trainFailures,
 		func() (modelVal, error) {
 			start := time.Now()
@@ -137,10 +137,7 @@ func (s *Server) model(g *generation, target core.Target, kind core.ModelKind, s
 			if err != nil {
 				return modelVal{}, err
 			}
-			b := newBatcher(func(qs []core.Query) ([]core.Prediction, error) {
-				return pred.PredictBatch(s.ctx, qs, s.workers)
-			}, g.stop, s.metrics)
-			return modelVal{pred: pred, trainDur: dur, batch: b}, nil
+			return modelVal{pred: pred, trainDur: dur}, nil
 		})
 }
 
@@ -158,7 +155,7 @@ func (s *Server) trained(g *generation) []trainedModel {
 	defer g.registry.mu.Unlock()
 	var out []trainedModel
 	for k, e := range g.registry.entries {
-		if e.val.batch != nil {
+		if e.val.pred != nil {
 			out = append(out, trainedModel{k.kind, int(k.set), string(k.target),
 				float64(e.val.trainDur.Microseconds()) / 1e3})
 		}
@@ -190,7 +187,7 @@ func (s *Server) profileFor(g *generation, spec workload.Spec) (*profile.Result,
 	if err := s.closedErr(); err != nil {
 		return nil, err
 	}
-	return fillOnce(&g.profiles.mu, g.profiles.entries, profileKey{spec.Label, g.size, g.seed}, g.stop,
+	return fillOnce(&g.profiles.mu, g.profiles.entries, profileKey{spec.Label, g.size, g.seed}, s.stop,
 		&s.metrics.profileHits, &s.metrics.profileMisses, &s.metrics.profileFailures,
 		func() (*profile.Result, error) {
 			start := time.Now()

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/httpapi"
 	"repro/internal/profile"
 	"repro/internal/workload"
 )
@@ -194,6 +195,66 @@ func TestTrainFailureConcurrentWaitersRecover(t *testing.T) {
 	}
 	if calls.Load() != 2 {
 		t.Fatalf("trainer ran %d times, want 2 (failed fill + one recovery fit)", calls.Load())
+	}
+}
+
+// TestCloseAbortsFillWaiters: a request waiting on another request's
+// in-flight model fit returns errClosed (503 unavailable on the wire) as
+// soon as the server closes, without waiting for the fit to finish.
+func TestCloseAbortsFillWaiters(t *testing.T) {
+	s := New(testDataset(t), Options{Quick: true, Seed: 3, Workers: 2})
+	t.Cleanup(func() { s.Close() })
+	gate := make(chan struct{})
+	var gateOnce sync.Once
+	release := func() { gateOnce.Do(func() { close(gate) }) }
+	realTrain := s.train
+	s.train = func(ds *core.Dataset, target core.Target, kind core.ModelKind, set core.InputSet, workers int) (core.Predictor, error) {
+		<-gate
+		return realTrain(ds, target, kind, set, workers)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	t.Cleanup(release) // runs before ts.Close, which waits on parked requests
+
+	type answer struct {
+		code int
+		data []byte
+		err  error
+	}
+	post := func(out chan<- answer) {
+		resp, err := http.Post(ts.URL+"/v2/predict", "application/json",
+			strings.NewReader(`{"workload":"nw","trefp":1.173,"temp_c":60,"targets":["pue"]}`))
+		if err != nil {
+			out <- answer{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		out <- answer{resp.StatusCode, data, err}
+	}
+	creator := make(chan answer, 1)
+	go post(creator)
+	waitForMetric(t, ts, "dramserve_model_registry_misses_total", 1)
+	waiter := make(chan answer, 1)
+	go post(waiter)
+	waitForMetric(t, ts, "dramserve_model_registry_hits_total", 1)
+
+	s.Close()
+	select {
+	case got := <-waiter:
+		if got.err != nil || got.code != http.StatusServiceUnavailable {
+			t.Fatalf("fill waiter after Close = %d %v: %s", got.code, got.err, got.data)
+		}
+		if code, _, msg := errorV2(t, got.data); code != httpapi.CodeUnavailable || !strings.Contains(msg, errClosed.Error()) {
+			t.Fatalf("fill waiter error = %s %q, want %s %q", code, msg, httpapi.CodeUnavailable, errClosed)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close did not abort the fill waiter")
+	}
+	// The creator's fit was already running; it completes once released.
+	release()
+	if got := <-creator; got.err != nil {
+		t.Fatalf("creator transport error: %v", got.err)
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/httpapi"
 	"repro/internal/workload"
 )
 
@@ -153,12 +154,8 @@ func TestHotReloadE2E(t *testing.T) {
 	if r := decodeReload(data); !r.Swapped || r.Generation != 2 {
 		t.Fatalf("changed artifact did not swap: %+v", r)
 	}
-	// Reload returns only after the old generation drained; its batchers
-	// must be stopped by now.
-	select {
-	case <-gen1.stop:
-	default:
-		t.Fatal("retired generation's batchers still running")
+	if s.gen.Load() == gen1 {
+		t.Fatal("swapping reload kept the old generation current")
 	}
 
 	// 3. Reloading the now-identical new artifact is again a no-op.
@@ -265,7 +262,7 @@ func TestReloadErrors(t *testing.T) {
 		t.Fatalf("bad reload body accepted")
 	}
 	// An oversized body hits the uniform cap: 413, like every endpoint.
-	if resp, _ := postReload(t, ts, strings.Repeat(" ", maxBodyBytes+1)+"{}"); resp.StatusCode != http.StatusRequestEntityTooLarge {
+	if resp, _ := postReload(t, ts, strings.Repeat(" ", httpapi.MaxBodyBytes+1)+"{}"); resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized reload body not 413")
 	}
 	// The endpoint must not let a client name an arbitrary server-side
@@ -298,8 +295,8 @@ func TestReloadErrors(t *testing.T) {
 }
 
 // TestReloadConcurrentWithQueriesUnderChurn swaps generations repeatedly
-// while queries are in flight; -race plus the refcounted drain make this
-// the stress test of the acquire/release/retire protocol.
+// while queries are in flight; under -race this is the stress test of the
+// generation pointer swap.
 func TestReloadConcurrentWithQueriesUnderChurn(t *testing.T) {
 	ds := testDataset(t)
 	pathA := filepath.Join(t.TempDir(), "a.json.gz")
@@ -407,48 +404,96 @@ func TestReloadAdoptsArtifactBuildSettings(t *testing.T) {
 	}
 }
 
-// TestTryRefRefusesDrainedGeneration pins the reference protocol: a
-// generation that is retiring but not drained still accepts references
-// (those requests started on it), while a fully drained one never hands
-// one out again — a plain increment here could transiently resurrect the
-// refcount and double-close the drain signal.
-func TestTryRefRefusesDrainedGeneration(t *testing.T) {
+// TestReloadDoesNotWaitOnInflightRequest pins the swap contract: a request
+// holds its generation for its whole duration, and a reload never waits for
+// it. The request is parked inside a cold model fit; Reload must return
+// while the fit is still blocked, and the parked request must then answer
+// from the generation it started on.
+func TestReloadDoesNotWaitOnInflightRequest(t *testing.T) {
 	ds := testDataset(t)
+	path := filepath.Join(t.TempDir(), "b.json.gz")
+	changed := perturbedDataset(t, ds)
+	if err := changed.Save(path); err != nil {
+		t.Fatal(err)
+	}
 	s := New(ds, Options{Quick: true, Seed: 3, Workers: 2})
 	t.Cleanup(func() { s.Close() })
-	g := s.newGeneration(42, ds)
-	if !g.tryRef() {
-		t.Fatal("live generation refused a reference")
-	}
-	retired := make(chan struct{})
-	go func() {
-		defer close(retired)
-		g.retire()
-	}()
-	// Retiring but held: joins are still legal, retire must not finish.
-	if !g.tryRef() {
-		t.Fatal("retiring-but-held generation refused a reference")
-	}
-	select {
-	case <-retired:
-		t.Fatal("retire finished while references were held")
-	case <-time.After(20 * time.Millisecond):
-	}
-	g.release()
-	g.release()
-	<-retired
-	select {
-	case <-g.stop:
-	default:
-		t.Fatal("retired generation's stop not closed")
-	}
-	// Fully drained: no resurrection, ever.
-	for i := 0; i < 3; i++ {
-		if g.tryRef() {
-			t.Fatal("drained generation handed out a reference")
+	entered := make(chan struct{})
+	gate := make(chan struct{})
+	var gateOnce sync.Once
+	release := func() { gateOnce.Do(func() { close(gate) }) }
+	var calls atomic.Int64
+	realTrain := s.train
+	s.train = func(ds *core.Dataset, target core.Target, kind core.ModelKind, set core.InputSet, workers int) (core.Predictor, error) {
+		if calls.Add(1) == 1 {
+			close(entered)
+			<-gate
 		}
+		return realTrain(ds, target, kind, set, workers)
 	}
-	if n := g.refs.Load(); n != 0 {
-		t.Fatalf("drained generation refs = %d", n)
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	t.Cleanup(release) // runs before ts.Close, which waits on parked requests
+
+	const body = `{"workload":"nw","trefp":1.173,"temp_c":60,"targets":["pue"]}`
+	type answer struct {
+		code int
+		data []byte
+		err  error
+	}
+	pinned := make(chan answer, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v2/predict", "application/json", strings.NewReader(body))
+		if err != nil {
+			pinned <- answer{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		pinned <- answer{resp.StatusCode, data, err}
+	}()
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("request never reached the model fit")
+	}
+
+	reloaded := make(chan *ReloadResult, 1)
+	go func() {
+		res, err := s.Reload(path)
+		if err != nil {
+			t.Errorf("reload: %v", err)
+		}
+		reloaded <- res
+	}()
+	select {
+	case res := <-reloaded:
+		if res == nil || !res.Swapped || res.Generation != 2 || res.Fingerprint != changed.Fingerprint() {
+			t.Fatalf("reload under an in-flight fill: %+v", res)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Reload waited on an in-flight request")
+	}
+
+	release()
+	got := <-pinned
+	if got.err != nil || got.code != http.StatusOK {
+		t.Fatalf("pinned request = %d %v: %s", got.code, got.err, got.data)
+	}
+	var out PredictResponseV2
+	if err := json.Unmarshal(got.data, &out); err != nil {
+		t.Fatal(err)
+	}
+	if out.Generation != 1 || out.Fingerprint != ds.Fingerprint() {
+		t.Fatalf("pinned request answered from generation %d (%s), want 1 (%s)",
+			out.Generation, out.Fingerprint, ds.Fingerprint())
+	}
+	// Requests after the swap see the new artifact.
+	resp, data := postPredictV2(t, ts, body)
+	if err := json.Unmarshal(data, &out); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("post-swap predict = %d: %s", resp.StatusCode, data)
+	}
+	if out.Generation != 2 || out.Fingerprint != changed.Fingerprint() {
+		t.Fatalf("post-swap request answered from generation %d (%s)", out.Generation, out.Fingerprint)
 	}
 }

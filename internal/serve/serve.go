@@ -12,7 +12,7 @@
 //	GET  /v1/models    model kinds, input sets, targets, trained entries
 //	POST /v1/reload    swap in a refreshed dataset artifact in place
 //	GET  /healthz      liveness, dataset shape, serving generation
-//	GET  /metrics      request/cache/batch/reload counters and histograms
+//	GET  /metrics      request/cache/model/reload counters and histograms
 //
 // Both predict surfaces run the same resolve → model → predict path over
 // the unified core.Predictor API; /v1 is a thin adapter that always
@@ -22,11 +22,13 @@
 // because the model registry is keyed on the full (target, kind, input
 // set) triple — and reports failures as machine-readable
 // {code, field, message} errors. Method and content-type enforcement is
-// uniform across every endpoint: wrong method is 405 with Allow set,
-// non-JSON POST content is 415.
+// uniform across every endpoint (internal/httpapi, shared with the cluster
+// router): wrong method is 405 with Allow set, non-JSON POST content is
+// 415.
 //
-// Three mechanisms keep the warm path far under the 300 ms budget while the
-// cold path stays correct under concurrency:
+// Two caches keep the warm path far under the 300 ms budget while the cold
+// path stays correct under concurrency; a warm query is a profile lookup, a
+// registry lookup and one Predict call per requested target:
 //
 //   - a model registry trains each (target, kind, input set) predictor
 //     once through the core.Train factory, singleflight-style: concurrent
@@ -34,21 +36,20 @@
 //     the entry clears so the next request retries instead of inheriting a
 //     transient error;
 //   - a profile cache keyed by (workload, size, seed) makes repeat queries
-//     skip the expensive profiling pass (same non-sticky error handling);
-//   - a micro-batcher per predictor coalesces in-flight queries into
-//     PredictBatch calls that fan out on the engine's bounded worker pool.
+//     skip the expensive profiling pass (same non-sticky error handling).
 //
 // The paper's model is "retrained periodically" from fresh characterization
 // data, so the dataset and everything derived from it (registry, profile
-// cache, batchers) live in a generation behind an atomic pointer: Reload
-// builds a new generation from a refreshed artifact and swaps it in while
-// in-flight queries finish on the generation they started with (see
+// cache) live in a generation behind an atomic pointer: Reload builds a new
+// generation from a refreshed artifact and swaps it in without waiting,
+// while in-flight queries finish on the generation they started with (see
 // generation.go). A content fingerprint persisted in the artifact makes
 // reloading an unchanged artifact a no-op.
 //
 // Shutdown is graceful: Close cancels the server's context (threaded into
-// every engine dispatch), wakes all batcher waiters, and makes new
-// requests fail fast before starting a cold profile build or model fit.
+// every engine dispatch), wakes every request waiting on another's cold
+// fill, and makes new requests fail fast before starting a cold profile
+// build or model fit.
 package serve
 
 import (
@@ -65,6 +66,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dram"
 	"repro/internal/engine"
+	"repro/internal/httpapi"
 	"repro/internal/ingest"
 	"repro/internal/profile"
 	"repro/internal/workload"
@@ -81,8 +83,9 @@ type Options struct {
 	Quick bool
 	// Seed keys the profiling passes.
 	Seed uint64
-	// Workers bounds the engine parallelism of training and batched
-	// prediction; 0 means GOMAXPROCS.
+	// Workers bounds the engine parallelism of training and of profile
+	// resolution fan-outs (batch bodies, ingest retrains); 0 means
+	// GOMAXPROCS.
 	Workers int
 	// ArtifactPath, when set, is the dataset artifact backing the server;
 	// POST /v1/reload with an empty body (and cmd/dramserve's SIGHUP and
@@ -101,8 +104,8 @@ type Options struct {
 }
 
 // Server answers prediction queries from the current serving generation: a
-// loaded campaign dataset plus the models, profiles and batchers derived
-// from it. Reload swaps generations atomically; see generation.go.
+// loaded campaign dataset plus the models and profiles derived from it.
+// Reload swaps generations atomically; see generation.go.
 type Server struct {
 	workers int
 	// optSize/optSeed are the startup profiling settings, used for
@@ -173,7 +176,7 @@ func New(ds *core.Dataset, opts Options) *Server {
 	return s
 }
 
-// Close stops the server: batcher dispatchers exit, blocked requests
+// Close stops the server: requests waiting on another request's cold fill
 // return errClosed, in-flight engine dispatch is canceled, and new
 // requests fail fast before paying for profiling or training (an
 // already-running model fit completes, as an in-flight HTTP request
@@ -182,15 +185,9 @@ func (s *Server) Close() error {
 	s.closeOnce.Do(func() {
 		s.cancel()
 		close(s.stop)
-		// Stop the ingest consumer before the batchers so an in-flight
-		// retrain's engine dispatch sees the cancellation promptly.
 		if s.ingest != nil {
 			s.ingest.Close()
 		}
-		// Stop the current generation's batchers. Retired generations
-		// already stopped theirs; a reload racing with this close re-checks
-		// closedErr after its swap and stops the new generation itself.
-		s.gen.Load().closeStop()
 	})
 	return nil
 }
@@ -211,40 +208,20 @@ func (s *Server) closedErr() error {
 // between the /v1 and /v2 surfaces.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	route := func(path, method string, werr errWriter, h http.HandlerFunc) {
-		mux.HandleFunc(path, s.counted(path, endpoint(method, werr, h)))
+	route := func(path, method string, werr httpapi.ErrWriter, h http.HandlerFunc) {
+		mux.HandleFunc(path, s.metrics.requests.Counted(path, httpapi.Endpoint(method, werr, h)))
 	}
 	route("/v1/predict", http.MethodPost, writeErrorV1, s.handlePredictV1)
-	route("/v2/predict", http.MethodPost, writeErrorV2, s.handlePredictV2)
-	route("/v2/stats", http.MethodGet, writeErrorV2, s.handleStatsV2)
-	route("/v2/ingest", http.MethodPost, writeErrorV2, s.handleIngestV2)
-	route("/v2/retrain", http.MethodPost, writeErrorV2, s.handleRetrainV2)
+	route("/v2/predict", http.MethodPost, httpapi.WriteError, s.handlePredictV2)
+	route("/v2/stats", http.MethodGet, httpapi.WriteError, s.handleStatsV2)
+	route("/v2/ingest", http.MethodPost, httpapi.WriteError, s.handleIngestV2)
+	route("/v2/retrain", http.MethodPost, httpapi.WriteError, s.handleRetrainV2)
 	route("/v1/workloads", http.MethodGet, writeErrorV1, s.handleWorkloads)
 	route("/v1/models", http.MethodGet, writeErrorV1, s.handleModels)
 	route("/v1/reload", http.MethodPost, writeErrorV1, s.handleReload)
 	route("/healthz", http.MethodGet, writeErrorV1, s.handleHealthz)
 	route("/metrics", http.MethodGet, writeErrorV1, s.handleMetrics)
 	return mux
-}
-
-// statusRecorder captures the response code for request accounting.
-type statusRecorder struct {
-	http.ResponseWriter
-	code int
-}
-
-func (r *statusRecorder) WriteHeader(code int) {
-	r.code = code
-	r.ResponseWriter.WriteHeader(code)
-}
-
-// counted wraps a handler with per-(endpoint, code) request counting.
-func (s *Server) counted(endpoint string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
-		h(rec, r)
-		s.metrics.countRequest(endpoint, rec.code)
-	}
 }
 
 // query is the version-independent form of one prediction request, after
@@ -318,29 +295,29 @@ func (r *resolved) setFor(t core.Target) core.InputSet {
 
 // resolve validates one query and resolves its workload profile on
 // generation g.
-func (s *Server) resolve(g *generation, q query) (*resolved, *apiError) {
+func (s *Server) resolve(g *generation, q query) (*resolved, *httpapi.Error) {
 	spec, err := workload.FindSpec(q.Workload)
 	if err != nil {
-		return nil, errf(http.StatusNotFound, codeUnknownWorkload, "workload", "%v", err)
+		return nil, httpapi.Errf(http.StatusNotFound, codeUnknownWorkload, "workload", "%v", err)
 	}
 	if q.TREFP <= 0 || math.IsNaN(q.TREFP) || math.IsInf(q.TREFP, 0) {
-		return nil, errf(http.StatusBadRequest, codeOutOfRange, "trefp", "trefp %v out of range", q.TREFP)
+		return nil, httpapi.Errf(http.StatusBadRequest, codeOutOfRange, "trefp", "trefp %v out of range", q.TREFP)
 	}
 	if math.IsNaN(q.TempC) || math.IsInf(q.TempC, 0) {
-		return nil, errf(http.StatusBadRequest, codeOutOfRange, "temp_c", "temp_c %v out of range", q.TempC)
+		return nil, httpapi.Errf(http.StatusBadRequest, codeOutOfRange, "temp_c", "temp_c %v out of range", q.TempC)
 	}
 	if q.VDD == 0 {
 		q.VDD = dram.MinVDD
 	}
 	if q.VDD < 0 || math.IsNaN(q.VDD) || math.IsInf(q.VDD, 0) {
-		return nil, errf(http.StatusBadRequest, codeOutOfRange, "vdd", "vdd %v out of range", q.VDD)
+		return nil, httpapi.Errf(http.StatusBadRequest, codeOutOfRange, "vdd", "vdd %v out of range", q.VDD)
 	}
 	if q.Model == "" {
 		q.Model = string(core.ModelKNN)
 	}
 	kind, err := core.ParseModelKind(q.Model)
 	if err != nil {
-		return nil, errf(http.StatusBadRequest, codeUnknownModel, "model", "unknown model %q", q.Model)
+		return nil, httpapi.Errf(http.StatusBadRequest, codeUnknownModel, "model", "unknown model %q", q.Model)
 	}
 	var set core.InputSet
 	switch q.InputSet {
@@ -349,10 +326,10 @@ func (s *Server) resolve(g *generation, q query) (*resolved, *apiError) {
 	case 1, 2, 3:
 		set = core.InputSet(q.InputSet)
 	default:
-		return nil, errf(http.StatusBadRequest, codeOutOfRange, "input_set", "input_set %d out of range", q.InputSet)
+		return nil, httpapi.Errf(http.StatusBadRequest, codeOutOfRange, "input_set", "input_set %d out of range", q.InputSet)
 	}
 	if err := profile.ValidateCEEvents(q.CE); err != nil {
-		return nil, errf(http.StatusBadRequest, codeBadTelemetry, "ce", "%v", err)
+		return nil, httpapi.Errf(http.StatusBadRequest, codeBadTelemetry, "ce", "%v", err)
 	}
 	r2 := resolvedPool.Get().(*resolved)
 	targets := r2.targets[:0]
@@ -370,11 +347,11 @@ func (s *Server) resolve(g *generation, q query) (*resolved, *apiError) {
 			t, err := core.ParseTarget(name)
 			if err != nil {
 				putResolved(r2)
-				return nil, errf(http.StatusBadRequest, codeUnknownTarget, "targets", "unknown target %q", name)
+				return nil, httpapi.Errf(http.StatusBadRequest, codeUnknownTarget, "targets", "unknown target %q", name)
 			}
 			if !g.available[t] {
 				putResolved(r2)
-				return nil, errf(http.StatusBadRequest, codeTargetUnavailable, "targets",
+				return nil, httpapi.Errf(http.StatusBadRequest, codeTargetUnavailable, "targets",
 					"target %q has no training rows in the serving artifact", name)
 			}
 			dup := false
@@ -463,10 +440,10 @@ func (p *predicted) pred(r *resolved, t core.Target) core.Prediction {
 	return core.Prediction{}
 }
 
-// predictOne answers one resolved query through generation g's
-// micro-batchers. Only the requested targets' models are resolved — a
-// PUE-only query never trains or waits for a WER model.
-func (s *Server) predictOne(g *generation, r *resolved) (*predicted, *apiError) {
+// predictOne answers one resolved query on generation g. Only the
+// requested targets' models are resolved — a PUE-only query never trains
+// or waits for a WER model.
+func (s *Server) predictOne(g *generation, r *resolved) (*predicted, *httpapi.Error) {
 	start := time.Now()
 	p := predictedPool.Get().(*predicted)
 	p.forTargets(len(r.targets))
@@ -474,33 +451,32 @@ func (s *Server) predictOne(g *generation, r *resolved) (*predicted, *apiError) 
 		p.stats[i] = s.metrics.modelStatFor(modelKey{t, r.kind, r.setFor(t)})
 		mv, err := s.model(g, t, r.kind, r.setFor(t))
 		if err != nil {
-			p.stats[i].errors.inc()
+			p.stats[i].errors.Inc()
 			putPredicted(p)
 			return nil, servingErr(err)
 		}
 		p.mvs[i] = mv
 	}
-	// The targets are independent: submit every batcher at once so a query
-	// pays one dispatch cycle, not one per target, and a wave of requests
-	// lands in all batchers in the same flush. The first target runs on
-	// this goroutine — the common single-target query spawns nothing.
+	// The targets are independent, so they predict concurrently. The
+	// first runs on this goroutine — the common single-target query
+	// spawns nothing.
 	run := func(i int, t core.Target) {
 		predStart := time.Now()
-		ps, err := p.mvs[i].batch.do([]core.Query{{
+		pred, err := p.mvs[i].pred.Predict(core.Query{
 			Target: t, Features: r.feats, TREFP: r.trefp, VDD: r.vdd,
 			TempC: r.tempC, Rank: core.RankDevice, CE: r.ce,
-		}})
+		})
 		if err != nil {
-			p.stats[i].errors.inc()
+			p.stats[i].errors.Inc()
 			p.errs[i] = err
 			return
 		}
 		// Per-model serving accounting: one answered query per target,
-		// with the micro-batched predict round trip it paid
-		// (/v2/stats; the load generator cross-checks these).
-		p.stats[i].queries.inc()
+		// with the predict call it paid (/v2/stats; the load generator
+		// cross-checks these).
+		p.stats[i].queries.Inc()
 		p.stats[i].latency.observe(time.Since(predStart))
-		p.preds[i] = ps[0]
+		p.preds[i] = pred
 	}
 	var wg sync.WaitGroup
 	for i := 1; i < len(r.targets); i++ {
@@ -525,19 +501,18 @@ func (s *Server) predictOne(g *generation, r *resolved) (*predicted, *apiError) 
 // predictMany resolves and answers a batch. Resolution is all-or-nothing
 // (the response always has one result per query) and fans out so a cold
 // batch naming several unprofiled workloads pays for the slowest profile
-// build, not their sum; predictions then run concurrently — their batcher
-// submissions coalesce.
-func (s *Server) predictMany(g *generation, qs []query) ([]*resolved, []*predicted, *apiError) {
+// build, not their sum; the queries then predict concurrently.
+func (s *Server) predictMany(g *generation, qs []query) ([]*resolved, []*predicted, *httpapi.Error) {
 	if len(qs) == 0 {
-		return nil, nil, errf(http.StatusBadRequest, codeEmptyBatch, "queries", "empty batch")
+		return nil, nil, httpapi.Errf(http.StatusBadRequest, httpapi.CodeEmptyBatch, "queries", "empty batch")
 	}
 	if len(qs) > maxBatchBody {
-		return nil, nil, errf(http.StatusBadRequest, codeBatchTooLarge, "queries",
+		return nil, nil, httpapi.Errf(http.StatusBadRequest, httpapi.CodeBatchTooLarge, "queries",
 			"batch of %d exceeds %d", len(qs), maxBatchBody)
 	}
 	type resolveOut struct {
 		r *resolved
-		e *apiError
+		e *httpapi.Error
 	}
 	outs, err := engine.Map(len(qs), func(i int) (resolveOut, error) {
 		r, e := s.resolve(g, qs[i])
@@ -552,12 +527,12 @@ func (s *Server) predictMany(g *generation, qs []query) ([]*resolved, []*predict
 	rs := make([]*resolved, len(qs))
 	for i, o := range outs {
 		if o.e != nil {
-			return nil, nil, o.e.at(i)
+			return nil, nil, o.e.At(i)
 		}
 		rs[i] = o.r
 	}
 	preds := make([]*predicted, len(rs))
-	errs := make([]*apiError, len(rs))
+	errs := make([]*httpapi.Error, len(rs))
 	var wg sync.WaitGroup
 	for i, rq := range rs {
 		wg.Add(1)
@@ -569,7 +544,7 @@ func (s *Server) predictMany(g *generation, qs []query) ([]*resolved, []*predict
 	wg.Wait()
 	for i, e := range errs {
 		if e != nil {
-			return nil, nil, e.at(i)
+			return nil, nil, e.At(i)
 		}
 	}
 	return rs, preds, nil
@@ -646,21 +621,19 @@ func renderV1(r *resolved, p *predicted) *PredictResponse {
 func (s *Server) handlePredictV1(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	var body predictBody
-	if e := decodeBody(r, &body); e != nil {
+	if e := httpapi.DecodeBody(r, &body); e != nil {
 		writeErrorV1(w, e)
 		return
 	}
 	defer func() { s.metrics.predictSeconds.observe(time.Since(start)) }()
 
 	// Pin the serving generation for the whole request: a reload swapping
-	// in a new dataset mid-request must not mix state, and this reference
-	// keeps the generation's batchers alive until we release it.
+	// in a new dataset mid-request must not mix state.
 	g, err := s.acquire()
 	if err != nil {
 		writeErrorV1(w, servingErr(err))
 		return
 	}
-	defer g.release()
 
 	if body.Queries != nil {
 		qs := make([]query, len(body.Queries))
@@ -676,7 +649,7 @@ func (s *Server) handlePredictV1(w http.ResponseWriter, r *http.Request) {
 		for i := range rs {
 			results[i] = renderV1(rs[i], preds[i])
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"results": results})
+		httpapi.WriteJSON(w, http.StatusOK, map[string]any{"results": results})
 		freeMany(rs, preds)
 		return
 	}
@@ -692,7 +665,7 @@ func (s *Server) handlePredictV1(w http.ResponseWriter, r *http.Request) {
 		writeErrorV1(w, e)
 		return
 	}
-	writeJSON(w, http.StatusOK, renderV1(rq, p))
+	httpapi.WriteJSON(w, http.StatusOK, renderV1(rq, p))
 	putResolved(rq)
 	putPredicted(p)
 }
@@ -720,22 +693,22 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	if err := dec.Decode(&body); err != nil && err != io.EOF {
 		// Same decode contract as everywhere else (413 past the body cap,
 		// 400 otherwise), with an entirely empty body additionally allowed.
-		writeErrorV1(w, decodeErr(err))
+		writeErrorV1(w, httpapi.DecodeErr(err))
 		return
 	}
 	if s.artifactPath == "" {
-		writeErrorV1(w, errf(http.StatusBadRequest, codeNotArtifactBacked, "",
+		writeErrorV1(w, httpapi.Errf(http.StatusBadRequest, codeNotArtifactBacked, "",
 			"not artifact-backed: the server was started without -load"))
 		return
 	}
 	res, err := s.Reload(s.artifactPath)
 	if err != nil {
 		e := servingErr(err)
-		e.msg = "reload: " + e.msg
+		e.Msg = "reload: " + e.Msg
 		writeErrorV1(w, e)
 		return
 	}
-	writeJSON(w, http.StatusOK, res)
+	httpapi.WriteJSON(w, http.StatusOK, res)
 }
 
 func (s *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
@@ -755,7 +728,7 @@ func (s *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
 	for _, spec := range workload.ExtendedSet() {
 		out = append(out, entry{spec.Label, spec.Threads, profiled[spec.Label], inCorpus[spec.Label]})
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"workloads": out})
+	httpapi.WriteJSON(w, http.StatusOK, map[string]any{"workloads": out})
 }
 
 func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
@@ -772,7 +745,7 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 	if trained == nil {
 		trained = []trainedModel{}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	httpapi.WriteJSON(w, http.StatusOK, map[string]any{
 		"kinds":      kinds,
 		"input_sets": sets,
 		"targets":    targets,
@@ -817,7 +790,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			targets = append(targets, string(t))
 		}
 	}
-	writeJSON(w, http.StatusOK, &HealthResponse{
+	httpapi.WriteJSON(w, http.StatusOK, &HealthResponse{
 		Status:        "ok",
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Generation:    g.id,

@@ -495,9 +495,6 @@ func TestMetricsAccounting(t *testing.T) {
 	if m["dramserve_train_seconds_count"] != 2 {
 		t.Fatalf("train histogram count = %v", m["dramserve_train_seconds_count"])
 	}
-	if m["dramserve_predict_batches_total"] < 1 || m["dramserve_predict_batched_queries_total"] < 1 {
-		t.Fatal("batcher accounting did not move")
-	}
 	if resp, _ := postPredict(t, ts, `{"workload":"doom","trefp":1,"temp_c":60}`); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("predict unknown = %d", resp.StatusCode)
 	}
@@ -509,8 +506,8 @@ func TestMetricsAccounting(t *testing.T) {
 
 // TestConcurrentPredict hammers /v1/predict from 32 goroutines; run under
 // -race this exercises the singleflight registry (every goroutine races to
-// train the same models), the profile cache and the micro-batcher. All
-// responses for the same query must be identical.
+// train the same models) and the profile cache. All responses for the same
+// query must be identical.
 func TestConcurrentPredict(t *testing.T) {
 	_, ts := newTestServer(t)
 	const goroutines = 32
@@ -661,7 +658,7 @@ func TestContextCancellationStopsServer(t *testing.T) {
 	}
 	cancel()
 	// Cancellation propagates asynchronously via context.AfterFunc; the
-	// stop channel is what the batchers select on.
+	// stop channel is what fill waiters select on.
 	select {
 	case <-s.stop:
 	case <-time.After(5 * time.Second):

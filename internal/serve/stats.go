@@ -2,10 +2,10 @@ package serve
 
 import (
 	"net/http"
-	"sort"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/httpapi"
 )
 
 // GET /v2/stats: the server's own view of its serving traffic, broken down
@@ -25,8 +25,8 @@ type ModelStatsV2 struct {
 	// Errors the failed model resolutions and predictions.
 	Queries int64 `json:"queries"`
 	Errors  int64 `json:"errors"`
-	// Latency of this model's micro-batched predict round trips, in
-	// fractional milliseconds. Percentiles are conservative upper-bound
+	// Latency of this model's predict calls, in fractional
+	// milliseconds. Percentiles are conservative upper-bound
 	// estimates from the fixed metric buckets.
 	LatencyMSSum  float64 `json:"latency_ms_sum"`
 	LatencyMSMean float64 `json:"latency_ms_mean"`
@@ -36,11 +36,7 @@ type ModelStatsV2 struct {
 }
 
 // EndpointStatsV2 is one (endpoint, status code) request counter.
-type EndpointStatsV2 struct {
-	Endpoint string `json:"endpoint"`
-	Code     int    `json:"code"`
-	Requests int64  `json:"requests"`
-}
+type EndpointStatsV2 = httpapi.RequestCount
 
 // IngestStatsV2 is the streaming-ingest section of a /v2/stats response,
 // present only when the server was started with ingest enabled.
@@ -109,8 +105,8 @@ func (s *Server) handleStatsV2(w http.ResponseWriter, r *http.Request) {
 			Target:       string(k.target),
 			Kind:         string(k.kind),
 			InputSet:     int(k.set),
-			Queries:      st.queries.value(),
-			Errors:       st.errors.value(),
+			Queries:      st.queries.Value(),
+			Errors:       st.errors.Value(),
 			LatencyMSSum: sum * 1e3,
 			LatencyMSP50: st.latency.quantile(0.50) * 1e3,
 			LatencyMSP95: st.latency.quantile(0.95) * 1e3,
@@ -122,7 +118,7 @@ func (s *Server) handleStatsV2(w http.ResponseWriter, r *http.Request) {
 		resp.Targets[m.Target] += m.Queries
 		resp.Models = append(resp.Models, m)
 	}
-	resp.Endpoints = s.metrics.endpointStats()
+	resp.Endpoints = s.metrics.requests.Snapshot()
 	if s.ingest != nil {
 		st := s.ingest.Snapshot()
 		resp.Ingest = &IngestStatsV2{
@@ -137,23 +133,5 @@ func (s *Server) handleStatsV2(w http.ResponseWriter, r *http.Request) {
 			RetrainFailures: st.RetrainFailures,
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// endpointStats snapshots the per-(endpoint, code) request counters in
-// deterministic order.
-func (m *metrics) endpointStats() []EndpointStatsV2 {
-	m.mu.Lock()
-	out := make([]EndpointStatsV2, 0, len(m.requests))
-	for k, c := range m.requests {
-		out = append(out, EndpointStatsV2{Endpoint: k.endpoint, Code: k.code, Requests: c.value()})
-	}
-	m.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Endpoint != out[j].Endpoint {
-			return out[i].Endpoint < out[j].Endpoint
-		}
-		return out[i].Code < out[j].Code
-	})
-	return out
+	httpapi.WriteJSON(w, http.StatusOK, resp)
 }

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/httpapi"
 	"repro/internal/profile"
 )
 
@@ -144,18 +145,17 @@ func (s *Server) handlePredictV2(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	body := v2BodyPool.Get().(*predictBodyV2)
 	defer putV2Body(body)
-	if e := decodeBody(r, body); e != nil {
-		writeErrorV2(w, e)
+	if e := httpapi.DecodeBody(r, body); e != nil {
+		httpapi.WriteError(w, e)
 		return
 	}
 	defer func() { s.metrics.predictSeconds.observe(time.Since(start)) }()
 
 	g, err := s.acquire()
 	if err != nil {
-		writeErrorV2(w, servingErr(err))
+		httpapi.WriteError(w, servingErr(err))
 		return
 	}
-	defer g.release()
 
 	if body.Queries != nil {
 		qs := make([]query, len(body.Queries))
@@ -164,7 +164,7 @@ func (s *Server) handlePredictV2(w http.ResponseWriter, r *http.Request) {
 		}
 		rs, preds, e := s.predictMany(g, qs)
 		if e != nil {
-			writeErrorV2(w, e)
+			httpapi.WriteError(w, e)
 			return
 		}
 		resp := &PredictBatchResponseV2{
@@ -175,23 +175,23 @@ func (s *Server) handlePredictV2(w http.ResponseWriter, r *http.Request) {
 		for i := range rs {
 			resp.Results[i] = renderV2(rs[i], preds[i])
 		}
-		writeJSON(w, http.StatusOK, resp)
+		httpapi.WriteJSON(w, http.StatusOK, resp)
 		freeMany(rs, preds)
 		return
 	}
 
 	rq, e := s.resolve(g, body.PredictRequestV2.query())
 	if e != nil {
-		writeErrorV2(w, e)
+		httpapi.WriteError(w, e)
 		return
 	}
 	p, e := s.predictOne(g, rq)
 	if e != nil {
 		putResolved(rq)
-		writeErrorV2(w, e)
+		httpapi.WriteError(w, e)
 		return
 	}
-	writeJSON(w, http.StatusOK, &PredictResponseV2{
+	httpapi.WriteJSON(w, http.StatusOK, &PredictResponseV2{
 		PredictItemV2: *renderV2(rq, p),
 		Generation:    g.id,
 		Fingerprint:   g.fp,

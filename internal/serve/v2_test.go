@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dram"
+	"repro/internal/httpapi"
 )
 
 func postPredictV2(t testing.TB, ts *httptest.Server, body string) (*http.Response, []byte) {
@@ -223,9 +224,9 @@ func TestV2ValidationErrors(t *testing.T) {
 		code   string
 		field  string
 	}{
-		{"malformed json", `{"workload":`, http.StatusBadRequest, codeMalformedBody, ""},
-		{"unknown field", `{"workload":"nw","trefp":1,"temp_c":60,"bogus":1}`, http.StatusBadRequest, codeMalformedBody, ""},
-		{"trailing garbage", `{"workload":"nw","trefp":1,"temp_c":60} {"queries":[]}`, http.StatusBadRequest, codeMalformedBody, ""},
+		{"malformed json", `{"workload":`, http.StatusBadRequest, httpapi.CodeMalformedBody, ""},
+		{"unknown field", `{"workload":"nw","trefp":1,"temp_c":60,"bogus":1}`, http.StatusBadRequest, httpapi.CodeMalformedBody, ""},
+		{"trailing garbage", `{"workload":"nw","trefp":1,"temp_c":60} {"queries":[]}`, http.StatusBadRequest, httpapi.CodeMalformedBody, ""},
 		{"unknown workload", `{"workload":"doom","trefp":1,"temp_c":60}`, http.StatusNotFound, codeUnknownWorkload, "workload"},
 		{"zero trefp", `{"workload":"nw","temp_c":60}`, http.StatusBadRequest, codeOutOfRange, "trefp"},
 		{"negative trefp", `{"workload":"nw","trefp":-1,"temp_c":60}`, http.StatusBadRequest, codeOutOfRange, "trefp"},
@@ -233,7 +234,7 @@ func TestV2ValidationErrors(t *testing.T) {
 		{"bad input set", `{"workload":"nw","trefp":1,"temp_c":60,"input_set":7}`, http.StatusBadRequest, codeOutOfRange, "input_set"},
 		{"bad model", `{"workload":"nw","trefp":1,"temp_c":60,"model":"GPT"}`, http.StatusBadRequest, codeUnknownModel, "model"},
 		{"bad target", `{"workload":"nw","trefp":1,"temp_c":60,"targets":["mbe"]}`, http.StatusBadRequest, codeUnknownTarget, "targets"},
-		{"empty batch", `{"queries":[]}`, http.StatusBadRequest, codeEmptyBatch, "queries"},
+		{"empty batch", `{"queries":[]}`, http.StatusBadRequest, httpapi.CodeEmptyBatch, "queries"},
 		{"batch item error", `{"queries":[{"workload":"nw","trefp":1,"temp_c":60},{"workload":"doom","trefp":1,"temp_c":60}]}`,
 			http.StatusNotFound, codeUnknownWorkload, "workload"},
 	}
@@ -271,7 +272,7 @@ func TestV2ValidationErrors(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("oversized batch = %d", resp.StatusCode)
 		}
-		if code, field, _ := errorV2(t, data); code != codeBatchTooLarge || field != "queries" {
+		if code, field, _ := errorV2(t, data); code != httpapi.CodeBatchTooLarge || field != "queries" {
 			t.Fatalf("oversized batch error = {%s, %s}", code, field)
 		}
 	})
@@ -288,7 +289,7 @@ func TestV2ValidationErrors(t *testing.T) {
 		if allow := resp.Header.Get("Allow"); allow != http.MethodPost {
 			t.Fatalf("Allow = %q", allow)
 		}
-		if code, field, _ := errorV2(t, data); code != codeMethodNotAllowed || field != "" {
+		if code, field, _ := errorV2(t, data); code != httpapi.CodeMethodNotAllowed || field != "" {
 			t.Fatalf("405 error = {%s, %s}", code, field)
 		}
 	})
@@ -299,7 +300,7 @@ func TestV2ValidationErrors(t *testing.T) {
 		if resp.StatusCode != http.StatusUnsupportedMediaType {
 			t.Fatalf("text/plain POST = %d: %s", resp.StatusCode, data)
 		}
-		if code, field, _ := errorV2(t, data); code != codeUnsupportedMedia || field != "" {
+		if code, field, _ := errorV2(t, data); code != httpapi.CodeUnsupportedMedia || field != "" {
 			t.Fatalf("415 error = {%s, %s}", code, field)
 		}
 	})
@@ -307,12 +308,12 @@ func TestV2ValidationErrors(t *testing.T) {
 	t.Run("body too large", func(t *testing.T) {
 		// Leading whitespace, so the decoder must consume past the cap
 		// before it ever reaches the value.
-		pad := strings.Repeat(" ", maxBodyBytes+1)
+		pad := strings.Repeat(" ", httpapi.MaxBodyBytes+1)
 		resp, data := postPredictV2(t, ts, pad+`{"workload":"nw","trefp":1,"temp_c":60}`)
 		if resp.StatusCode != http.StatusRequestEntityTooLarge {
 			t.Fatalf("oversized body = %d: %.200s", resp.StatusCode, data)
 		}
-		if code, field, _ := errorV2(t, data); code != codeBodyTooLarge || field != "" {
+		if code, field, _ := errorV2(t, data); code != httpapi.CodeBodyTooLarge || field != "" {
 			t.Fatalf("413 error = {%s, %s}", code, field)
 		}
 	})
