@@ -1,8 +1,10 @@
 package benchmark
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -187,4 +189,28 @@ func TestCompareMissingAndNew(t *testing.T) {
 	if v.OK() {
 		t.Fatal("verdict with regressions reports OK")
 	}
+}
+
+// FuzzParse feeds arbitrary bytes to Parse: it must never panic, a
+// successful parse must carry a machine class and at least one result,
+// and parsing the same bytes twice must give equal snapshots (or the
+// same error). The seed corpus is under testdata/fuzz/FuzzParse.
+func FuzzParse(f *testing.F) {
+	f.Add([]byte(sampleOutput))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s1, err1 := Parse(bytes.NewReader(data))
+		s2, err2 := Parse(bytes.NewReader(data))
+		if (err1 == nil) != (err2 == nil) || (err1 != nil && err1.Error() != err2.Error()) {
+			t.Fatalf("two parses disagree: %v vs %v", err1, err2)
+		}
+		if err1 != nil {
+			return
+		}
+		if s1.MachineClass == "" || len(s1.Benchmarks) == 0 {
+			t.Fatalf("successful parse without class or results: %+v", s1)
+		}
+		if !reflect.DeepEqual(s1, s2) {
+			t.Fatalf("two parses differ:\n%+v\n%+v", s1, s2)
+		}
+	})
 }

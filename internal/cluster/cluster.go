@@ -249,7 +249,7 @@ func (rt *Router) Handler() http.Handler {
 	}
 	route("/v2/predict", http.MethodPost, rt.handlePredict)
 	route("/healthz", http.MethodGet, rt.handleHealthz)
-	route("/metrics", http.MethodGet, rt.handleMetrics)
+	route("/metrics", http.MethodGet, httpapi.MetricsHandler(rt.renderMetrics))
 	return mux
 }
 

@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"fmt"
-	"io"
 	"net/http"
 	"time"
 
@@ -111,40 +109,28 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	httpapi.WriteJSON(w, code, hr)
 }
 
-// handleMetrics serves GET /metrics in the Prometheus text format.
-func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	rt.render(w)
-}
-
-func (rt *Router) render(w io.Writer) {
+// renderMetrics writes the router's /metrics exposition: request counts,
+// pool membership and per-backend identity and traffic, then the routing
+// counters.
+func (rt *Router) renderMetrics(e httpapi.Exposition) {
 	m := rt.metrics
-	m.requests.Render(w, "dramrouter_requests_total")
+	m.requests.Render(e.W, "dramrouter_requests_total")
 	hr := rt.poolHealth()
-	fmt.Fprintf(w, "dramrouter_backends %d\n", len(rt.backends))
-	fmt.Fprintf(w, "dramrouter_backends_healthy %d\n", hr.Healthy)
-	skew := 0
-	if hr.FingerprintSkew {
-		skew = 1
-	}
-	fmt.Fprintf(w, "dramrouter_fingerprint_skew %d\n", skew)
+	e.Int("dramrouter_backends", int64(len(rt.backends)))
+	e.Int("dramrouter_backends_healthy", int64(hr.Healthy))
+	e.Bool("dramrouter_fingerprint_skew", hr.FingerprintSkew)
 	for _, b := range rt.backends {
-		up := 0
-		if b.healthy.Load() {
-			up = 1
-		}
-		labels := fmt.Sprintf("{backend=%q}", b.addr)
-		fmt.Fprintf(w, "dramrouter_backend_up%s %d\n", labels, up)
-		fmt.Fprintf(w, "dramrouter_backend_generation%s %d\n", labels, b.generation.Load())
-		fmt.Fprintf(w, "dramrouter_backend_info{backend=%q,fingerprint=%q} 1\n", b.addr, b.fp())
-		fmt.Fprintf(w, "dramrouter_backend_requests_total{backend=%q,outcome=\"ok\"} %d\n", b.addr, b.subOK.Value())
-		fmt.Fprintf(w, "dramrouter_backend_requests_total{backend=%q,outcome=\"error\"} %d\n", b.addr, b.subErr.Value())
+		e.Bool("dramrouter_backend_up", b.healthy.Load(), "backend", b.addr)
+		e.Int("dramrouter_backend_generation", b.generation.Load(), "backend", b.addr)
+		e.Int("dramrouter_backend_info", 1, "backend", b.addr, "fingerprint", b.fp())
+		e.Int("dramrouter_backend_requests_total", b.subOK.Value(), "backend", b.addr, "outcome", "ok")
+		e.Int("dramrouter_backend_requests_total", b.subErr.Value(), "backend", b.addr, "outcome", "error")
 	}
-	fmt.Fprintf(w, "dramrouter_retries_total %d\n", m.retries.Value())
-	fmt.Fprintf(w, "dramrouter_hedges_total %d\n", m.hedges.Value())
-	fmt.Fprintf(w, "dramrouter_ejections_total %d\n", m.ejections.Value())
-	fmt.Fprintf(w, "dramrouter_readmissions_total %d\n", m.readmissions.Value())
-	fmt.Fprintf(w, "dramrouter_fingerprint_skew_rejections_total %d\n", m.skewRejects.Value())
-	fmt.Fprintf(w, "dramrouter_probes_total %d\n", m.probes.Value())
-	fmt.Fprintf(w, "dramrouter_probe_failures_total %d\n", m.probeFailures.Value())
+	e.Int("dramrouter_retries_total", m.retries.Value())
+	e.Int("dramrouter_hedges_total", m.hedges.Value())
+	e.Int("dramrouter_ejections_total", m.ejections.Value())
+	e.Int("dramrouter_readmissions_total", m.readmissions.Value())
+	e.Int("dramrouter_fingerprint_skew_rejections_total", m.skewRejects.Value())
+	e.Int("dramrouter_probes_total", m.probes.Value())
+	e.Int("dramrouter_probe_failures_total", m.probeFailures.Value())
 }

@@ -1,10 +1,12 @@
-// Package httpapi is the request contract shared by dramserve
-// (internal/serve) and dramrouter (internal/cluster): strict JSON decode,
-// the request body cap, method and media-type enforcement, structured
-// {code, field, message} errors, the pooled JSON response writer, and
-// per-(endpoint, status code) request counting. One implementation means
-// a client cannot tell a router from a single backend by how either
-// rejects a request.
+// Package httpapi is the request contract and the metrics core shared by
+// dramserve (internal/serve) and dramrouter (internal/cluster): strict JSON
+// decode, the request body cap, method and media-type enforcement,
+// structured {code, field, message} errors, the pooled JSON response
+// writer, and the metrics mechanics — Counter, the labelled Family, the
+// per-(endpoint, status code) Requests family, the latency Histogram and
+// Exposition, the one writer of Prometheus text lines. One implementation
+// means a client cannot tell a router from a single backend by how either
+// rejects a request or exposes its counters.
 package httpapi
 
 import (

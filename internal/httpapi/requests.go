@@ -1,19 +1,11 @@
 package httpapi
 
 import (
-	"fmt"
+	"cmp"
 	"io"
 	"net/http"
-	"sort"
-	"sync"
-	"sync/atomic"
+	"strconv"
 )
-
-// Counter is a monotonically increasing metric.
-type Counter struct{ v atomic.Int64 }
-
-func (c *Counter) Inc()         { c.v.Add(1) }
-func (c *Counter) Value() int64 { return c.v.Load() }
 
 // RequestCount is one (endpoint, status code) request counter.
 type RequestCount struct {
@@ -27,26 +19,14 @@ type requestKey struct {
 	code     int
 }
 
+func (k requestKey) Compare(o requestKey) int {
+	return cmp.Or(cmp.Compare(k.endpoint, o.endpoint), cmp.Compare(k.code, o.code))
+}
+
 // Requests counts served requests per (endpoint, status code). The zero
 // value is ready to use.
 type Requests struct {
-	mu sync.Mutex
-	m  map[requestKey]*Counter
-}
-
-func (rq *Requests) count(endpoint string, code int) {
-	k := requestKey{endpoint, code}
-	rq.mu.Lock()
-	c, ok := rq.m[k]
-	if !ok {
-		if rq.m == nil {
-			rq.m = map[requestKey]*Counter{}
-		}
-		c = &Counter{}
-		rq.m[k] = c
-	}
-	rq.mu.Unlock()
-	c.Inc()
+	f Family[requestKey, Counter]
 }
 
 // statusRecorder captures the response code for request accounting.
@@ -65,23 +45,15 @@ func (rq *Requests) Counted(endpoint string, h http.HandlerFunc) http.HandlerFun
 	return func(w http.ResponseWriter, r *http.Request) {
 		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
 		h(rec, r)
-		rq.count(endpoint, rec.code)
+		rq.f.At(requestKey{endpoint, rec.code}).Inc()
 	}
 }
 
 // Snapshot returns every counter in (endpoint, code) order.
 func (rq *Requests) Snapshot() []RequestCount {
-	rq.mu.Lock()
-	out := make([]RequestCount, 0, len(rq.m))
-	for k, c := range rq.m {
+	out := []RequestCount{}
+	rq.f.Each(func(k requestKey, c *Counter) {
 		out = append(out, RequestCount{Endpoint: k.endpoint, Code: k.code, Requests: c.Value()})
-	}
-	rq.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Endpoint != out[j].Endpoint {
-			return out[i].Endpoint < out[j].Endpoint
-		}
-		return out[i].Code < out[j].Code
 	})
 	return out
 }
@@ -89,7 +61,12 @@ func (rq *Requests) Snapshot() []RequestCount {
 // Render writes the family in the Prometheus text exposition format as
 // name{endpoint="...",code="..."} lines, in Snapshot order.
 func (rq *Requests) Render(w io.Writer, name string) {
-	for _, c := range rq.Snapshot() {
-		fmt.Fprintf(w, "%s{endpoint=%q,code=\"%d\"} %d\n", name, c.Endpoint, c.Code, c.Requests)
+	RenderRequests(Exposition{W: w}, name, rq.Snapshot())
+}
+
+// RenderRequests writes a request snapshot as Render does.
+func RenderRequests(e Exposition, name string, counts []RequestCount) {
+	for _, c := range counts {
+		e.Int(name, c.Requests, "endpoint", c.Endpoint, "code", strconv.Itoa(c.Code))
 	}
 }

@@ -154,27 +154,29 @@ func (c Config) withDefaults() Config {
 // the next attempt).
 type RetrainFunc func(rows []Row, reason string) (*core.TelemetrySummary, error)
 
-// Stats is a point-in-time snapshot of the pipeline counters.
+// Stats is a point-in-time snapshot of the pipeline counters. Its JSON
+// form is the ingest section of dramserve's GET /v2/stats.
 type Stats struct {
-	// Accepted and Dropped count offered rows over the pipeline's
-	// lifetime; QueueDepth is the rows currently queued ahead of the
-	// consumer.
-	Accepted   int64
-	Dropped    int64
-	QueueDepth int64
+	// Accepted and Dropped count rows offered over the pipeline's
+	// lifetime that were enqueued vs. rejected by backpressure;
+	// QueueDepth is the rows currently queued ahead of the consumer.
+	Accepted   int64 `json:"accepted"`
+	Dropped    int64 `json:"dropped"`
+	QueueDepth int64 `json:"queue_depth"`
 	// Buffered counts rows consumed but not yet folded into a retrain;
 	// TelemetryRows is the UE-labeled subset driving the drift score.
-	Buffered      int64
-	TelemetryRows int64
-	// DriftScore is the live distribution's drift against the training
-	// baseline (0 when no baseline or no telemetry yet); DriftFeature
-	// names the feature attaining it.
-	DriftScore   float64
-	DriftFeature string
+	Buffered      int64 `json:"buffered_rows"`
+	TelemetryRows int64 `json:"telemetry_rows"`
+	// DriftScore is the live distribution's max per-feature
+	// total-variation distance against the training baseline (0 when no
+	// baseline or no telemetry yet); DriftFeature names the feature
+	// attaining it.
+	DriftScore   float64 `json:"drift_score"`
+	DriftFeature string  `json:"drift_feature,omitempty"`
 	// Retrains and RetrainFailures count completed and failed retrain
 	// attempts.
-	Retrains        int64
-	RetrainFailures int64
+	Retrains        int64 `json:"retrains"`
+	RetrainFailures int64 `json:"retrain_failures"`
 }
 
 // Pipeline is the bounded-queue intake and retrain driver. One consumer
@@ -192,7 +194,6 @@ type Pipeline struct {
 
 	accepted atomic.Int64
 	dropped  atomic.Int64
-	depth    atomic.Int64
 
 	retrains        atomic.Int64
 	retrainFailures atomic.Int64
@@ -250,7 +251,6 @@ func (p *Pipeline) Offer(rows []Row) (int, error) {
 	for i := range rows {
 		select {
 		case p.ch <- rows[i]:
-			p.depth.Add(1)
 			p.accepted.Add(1)
 		default:
 			p.dropped.Add(int64(len(rows) - i))
@@ -287,7 +287,7 @@ func (p *Pipeline) Snapshot() Stats {
 	p.mu.Unlock()
 	st.Accepted = p.accepted.Load()
 	st.Dropped = p.dropped.Load()
-	st.QueueDepth = p.depth.Load()
+	st.QueueDepth = int64(len(p.ch))
 	st.Retrains = p.retrains.Load()
 	st.RetrainFailures = p.retrainFailures.Load()
 	return st
@@ -303,7 +303,6 @@ func (p *Pipeline) run() {
 	for {
 		select {
 		case row := <-p.ch:
-			p.depth.Add(-1)
 			p.absorb(&row)
 			if reason := p.trigger(); reason != "" {
 				p.retrainMu.Lock()

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 	"testing"
 	"time"
 
@@ -122,6 +123,54 @@ func TestOfferBackpressure(t *testing.T) {
 	st := p.Snapshot()
 	if st.Accepted != 5 || st.Dropped != 4 || st.QueueDepth != 4 {
 		t.Errorf("accepted/dropped/depth = %d/%d/%d, want 5/4/4", st.Accepted, st.Dropped, st.QueueDepth)
+	}
+}
+
+// TestQueueDepthNeverNegative races offers against the consumer while a
+// sampler snapshots: the reported depth must stay within [0, Capacity]
+// on every read, and read 0 once the queue drains.
+func TestQueueDepthNeverNegative(t *testing.T) {
+	const capacity, offerers, perOfferer = 8, 4, 2000
+	p := New(Config{Capacity: capacity}, nil, nil)
+	defer p.Close()
+
+	done := make(chan struct{})
+	bad := make(chan int64, 1)
+	go func() {
+		for {
+			select {
+			case <-done:
+				close(bad)
+				return
+			default:
+			}
+			if d := p.Snapshot().QueueDepth; d < 0 || d > capacity {
+				select {
+				case bad <- d:
+				default:
+				}
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	row := []Row{{Workload: "backprop", TREFP: 1.8, TempC: 60, WER: ptr(1e-6)}}
+	for range offerers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range perOfferer {
+				_, _ = p.Offer(row)
+			}
+		}()
+	}
+	wg.Wait()
+	close(done)
+	if d, ok := <-bad; ok {
+		t.Fatalf("Snapshot read queue depth %d, want within [0, %d]", d, capacity)
+	}
+	waitFor(t, "queue to drain", func() bool { return p.Snapshot().QueueDepth == 0 })
+	if st := p.Snapshot(); st.Accepted+st.Dropped != offerers*perOfferer {
+		t.Fatalf("accepted %d + dropped %d, want %d offered", st.Accepted, st.Dropped, offerers*perOfferer)
 	}
 }
 

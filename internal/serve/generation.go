@@ -144,9 +144,8 @@ func (s *Server) swapDataset(ds *core.Dataset, start time.Time) *ReloadResult {
 	}
 	g := s.newGeneration(cur.id+1, ds)
 	s.gen.Store(g)
-	s.metrics.generationID.Store(g.id)
 	s.metrics.reloads.Inc()
-	s.metrics.reloadSeconds.observe(time.Since(start))
+	s.metrics.reloadSeconds.Observe(time.Since(start))
 	return &ReloadResult{
 		Generation:  g.id,
 		Fingerprint: fp,

@@ -196,7 +196,7 @@ func (s *Server) retrainWith(rows []ingest.Row, reason string) (*core.TelemetryS
 	}
 	res := s.swapDataset(ds, start)
 	s.lastRetrain.Store(res)
-	s.metrics.retrainSeconds.observe(time.Since(start))
+	s.metrics.retrainSeconds.Observe(time.Since(start))
 	return ds.TelemetrySummary(), nil
 }
 

@@ -133,7 +133,7 @@ func (s *Server) model(g *generation, target core.Target, kind core.ModelKind, s
 			start := time.Now()
 			pred, err := s.train(g.ds, target, kind, set, s.workers)
 			dur := time.Since(start)
-			s.metrics.trainSeconds.observe(dur)
+			s.metrics.trainSeconds.Observe(dur)
 			if err != nil {
 				return modelVal{}, err
 			}
@@ -192,7 +192,7 @@ func (s *Server) profileFor(g *generation, spec workload.Spec) (*profile.Result,
 		func() (*profile.Result, error) {
 			start := time.Now()
 			res, err := s.buildProfile(spec, g.size, g.seed)
-			s.metrics.profileSeconds.observe(time.Since(start))
+			s.metrics.profileSeconds.Observe(time.Since(start))
 			return res, err
 		})
 }

@@ -55,7 +55,6 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -113,7 +112,7 @@ type Server struct {
 	optSize workload.Size
 	optSeed uint64
 
-	metrics *metrics
+	metrics metrics
 
 	// gen is the current serving generation. reloadMu serializes swaps
 	// (the pointer itself is safe to read lock-free).
@@ -155,7 +154,6 @@ func New(ds *core.Dataset, opts Options) *Server {
 		workers:      opts.Workers,
 		optSize:      size,
 		optSeed:      opts.Seed,
-		metrics:      newMetrics(),
 		artifactPath: opts.ArtifactPath,
 		ctx:          ctx,
 		cancel:       cancel,
@@ -166,7 +164,6 @@ func New(ds *core.Dataset, opts Options) *Server {
 	}
 	g := s.newGeneration(1, ds)
 	s.gen.Store(g)
-	s.metrics.generationID.Store(g.id)
 	if opts.Ingest != nil {
 		// The drift baseline is the artifact's own training distribution;
 		// retrains adopt the appended dataset's summary as the next one.
@@ -220,7 +217,7 @@ func (s *Server) Handler() http.Handler {
 	route("/v1/models", http.MethodGet, writeErrorV1, s.handleModels)
 	route("/v1/reload", http.MethodPost, writeErrorV1, s.handleReload)
 	route("/healthz", http.MethodGet, writeErrorV1, s.handleHealthz)
-	route("/metrics", http.MethodGet, writeErrorV1, s.handleMetrics)
+	route("/metrics", http.MethodGet, writeErrorV1, httpapi.MetricsHandler(s.renderMetrics))
 	return mux
 }
 
@@ -448,7 +445,7 @@ func (s *Server) predictOne(g *generation, r *resolved) (*predicted, *httpapi.Er
 	p := predictedPool.Get().(*predicted)
 	p.forTargets(len(r.targets))
 	for i, t := range r.targets {
-		p.stats[i] = s.metrics.modelStatFor(modelKey{t, r.kind, r.setFor(t)})
+		p.stats[i] = s.metrics.models.At(modelKey{t, r.kind, r.setFor(t)})
 		mv, err := s.model(g, t, r.kind, r.setFor(t))
 		if err != nil {
 			p.stats[i].errors.Inc()
@@ -475,7 +472,7 @@ func (s *Server) predictOne(g *generation, r *resolved) (*predicted, *httpapi.Er
 		// with the predict call it paid (/v2/stats; the load generator
 		// cross-checks these).
 		p.stats[i].queries.Inc()
-		p.stats[i].latency.observe(time.Since(predStart))
+		p.stats[i].latency.Observe(time.Since(predStart))
 		p.preds[i] = pred
 	}
 	var wg sync.WaitGroup
@@ -625,7 +622,7 @@ func (s *Server) handlePredictV1(w http.ResponseWriter, r *http.Request) {
 		writeErrorV1(w, e)
 		return
 	}
-	defer func() { s.metrics.predictSeconds.observe(time.Since(start)) }()
+	defer func() { s.metrics.predictSeconds.Observe(time.Since(start)) }()
 
 	// Pin the serving generation for the whole request: a reload swapping
 	// in a new dataset mid-request must not mix state.
@@ -801,20 +798,4 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Workloads:     len(g.ds.Workloads()),
 		Targets:       targets,
 	})
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	s.metrics.render(w)
-	if s.ingest != nil {
-		st := s.ingest.Snapshot()
-		fmt.Fprintf(w, "dramserve_ingest_accepted_total %d\n", st.Accepted)
-		fmt.Fprintf(w, "dramserve_ingest_dropped_total %d\n", st.Dropped)
-		fmt.Fprintf(w, "dramserve_ingest_queue_depth %d\n", st.QueueDepth)
-		fmt.Fprintf(w, "dramserve_ingest_buffered_rows %d\n", st.Buffered)
-		fmt.Fprintf(w, "dramserve_ingest_drift_score %g\n", st.DriftScore)
-		fmt.Fprintf(w, "dramserve_retrain_total %d\n", st.Retrains)
-		fmt.Fprintf(w, "dramserve_retrain_failures_total %d\n", st.RetrainFailures)
-		s.metrics.retrainSeconds.render(w, "dramserve_retrain_seconds")
-	}
 }

@@ -149,7 +149,7 @@ func (s *Server) handlePredictV2(w http.ResponseWriter, r *http.Request) {
 		httpapi.WriteError(w, e)
 		return
 	}
-	defer func() { s.metrics.predictSeconds.observe(time.Since(start)) }()
+	defer func() { s.metrics.predictSeconds.Observe(time.Since(start)) }()
 
 	g, err := s.acquire()
 	if err != nil {
