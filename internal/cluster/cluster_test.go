@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fleet"
+	"repro/internal/httpapi"
 	"repro/internal/serve"
 	"repro/internal/workload"
 	"repro/internal/xgene"
@@ -311,7 +312,7 @@ func TestRouterRequestContract(t *testing.T) {
 		}
 	}
 
-	big := `{"queries":[` + strings.Repeat(`{"workload":"x","trefp":1,"temp_c":5},`, maxBatch) +
+	big := `{"queries":[` + strings.Repeat(`{"workload":"x","trefp":1,"temp_c":5},`, httpapi.MaxBatch) +
 		`{"workload":"x","trefp":1,"temp_c":5}]}`
 	resp2, data := postPredict(t, rts.URL, big)
 	if we := decodeErr(t, data); resp2.StatusCode != http.StatusBadRequest || we.Error.Code != "batch_too_large" {

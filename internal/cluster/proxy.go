@@ -15,10 +15,6 @@ import (
 	"repro/internal/serve"
 )
 
-// maxBatch mirrors dramserve's batch cap, so a batch rejected here would
-// have been rejected there.
-const maxBatch = 1024
-
 // The router's own /v2 error codes, beside the shared httpapi codes and the
 // backend codes it passes through verbatim.
 const (
@@ -61,9 +57,9 @@ func (rt *Router) predictBatch(w http.ResponseWriter, ctx context.Context, qs []
 		httpapi.WriteError(w, httpapi.Errf(http.StatusBadRequest, httpapi.CodeEmptyBatch, "queries", "empty batch"))
 		return
 	}
-	if len(qs) > maxBatch {
+	if len(qs) > httpapi.MaxBatch {
 		httpapi.WriteError(w, httpapi.Errf(http.StatusBadRequest, httpapi.CodeBatchTooLarge, "queries",
-			"batch of %d exceeds %d", len(qs), maxBatch))
+			"batch of %d exceeds %d", len(qs), httpapi.MaxBatch))
 		return
 	}
 	items := make([]*serve.PredictItemV2, len(qs))

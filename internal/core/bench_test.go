@@ -31,9 +31,11 @@ func benchQueries(ds *Dataset) (wer, pue []Query) {
 	return wer, pue
 }
 
-// BenchmarkPredictBatch is the canonical core-layer benchmark: one op is a
-// 64-query mixed batch (32 WER incl. device-level, 32 PUE) against warm KNN
-// predictors. Tracked in BENCH_<machine-class>.json by scripts/bench.sh.
+// BenchmarkPredictBatch is the canonical core-layer benchmark: one op is
+// 64 sequential Predict calls, a mixed set of 32 WER (incl. device-level)
+// and 32 PUE queries against warm KNN predictors. The name predates the
+// loop and is kept as the key tracked in BENCH_<machine-class>.json by
+// scripts/bench.sh.
 func BenchmarkPredictBatch(b *testing.B) {
 	ds := hotpathDataset()
 	wer, err := Train(ds, TargetWER, ModelKNN, 0, 1)

@@ -494,3 +494,30 @@ func TestEvaluateWERRowsAlignment(t *testing.T) {
 		}
 	}
 }
+
+func TestWithoutWorkload(t *testing.T) {
+	ds := testDataset(t)
+	label := ds.WER[0].Workload
+	werBefore, pueBefore := len(ds.WER), len(ds.PUE)
+	out := ds.WithoutWorkload(label)
+	if len(out.WER) >= werBefore {
+		t.Fatalf("no WER rows removed for %s", label)
+	}
+	for _, s := range out.WER {
+		if s.Workload == label {
+			t.Fatalf("WER row for %s survived", label)
+		}
+	}
+	for _, s := range out.PUE {
+		if s.Workload == label {
+			t.Fatalf("PUE row for %s survived", label)
+		}
+	}
+	if out.Profiles != nil && out.Profiles[label] != nil {
+		t.Fatalf("profile for %s survived", label)
+	}
+	// The receiver is untouched.
+	if len(ds.WER) != werBefore || len(ds.PUE) != pueBefore {
+		t.Fatal("WithoutWorkload mutated its receiver")
+	}
+}

@@ -1,7 +1,6 @@
 package core_test
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -85,45 +84,4 @@ func ExampleTrain() {
 	// model: KNN for wer on Input set 1
 	// device-mean WER in (0, 1]: true
 	// per-rank breakdown entries: 8
-}
-
-// ExamplePredictor_PredictBatch evaluates a batch on a bounded worker
-// pool. The results are bit-identical to per-query Predict calls at every
-// worker count.
-func ExamplePredictor_PredictBatch() {
-	ds := exampleDataset()
-	pred, err := core.Train(ds, core.TargetPUE, core.ModelKNN, 0, 1)
-	if err != nil {
-		panic(err)
-	}
-
-	queries := make([]core.Query, 0, 3)
-	for _, trefp := range []float64{1.450, 1.727, 2.283} {
-		queries = append(queries, core.Query{
-			Features: ds.PUE[0].Features,
-			TREFP:    trefp, VDD: dram.MinVDD, TempC: 70,
-		})
-	}
-	batch, err := pred.PredictBatch(context.Background(), queries, 2)
-	if err != nil {
-		panic(err)
-	}
-
-	inRange, matches := true, true
-	for i, p := range batch {
-		if p.Value < 0 || p.Value > 1 {
-			inRange = false
-		}
-		single, err := pred.Predict(queries[i])
-		if err != nil || single.Value != p.Value {
-			matches = false
-		}
-	}
-	fmt.Println("predictions:", len(batch))
-	fmt.Println("crash probabilities in [0, 1]:", inRange)
-	fmt.Println("batch bit-identical to sequential:", matches)
-	// Output:
-	// predictions: 3
-	// crash probabilities in [0, 1]: true
-	// batch bit-identical to sequential: true
 }

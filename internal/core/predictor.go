@@ -1,12 +1,10 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"sync"
 
 	"repro/internal/dram"
-	"repro/internal/engine"
 	"repro/internal/ml"
 	"repro/internal/stats"
 )
@@ -78,12 +76,6 @@ func classifierTrainerFor(kind ModelKind, workers int) (ml.Trainer, error) {
 		return ml.ForestClassifier{Forest: ml.Forest{Trees: 60, Seed: 42, Workers: workers}}, nil
 	}
 	return trainerFor(kind, workers)
-}
-
-// batchOptions turns a Predictor.PredictBatch context/worker pair into the
-// engine dispatch options shared by both implementations.
-func batchOptions(ctx context.Context, workers int) engine.Options {
-	return engine.Options{Workers: workers, Context: ctx}
 }
 
 // werPredictor is the trained workload-aware WER model: the deliverable
@@ -168,15 +160,6 @@ func (p *werPredictor) Predict(q Query) (Prediction, error) {
 	return out, nil
 }
 
-// PredictBatch implements Predictor. Each query is independent and the
-// model is immutable after training, so the result is bit-identical to
-// calling Predict per query, at every worker count.
-func (p *werPredictor) PredictBatch(ctx context.Context, qs []Query, workers int) ([]Prediction, error) {
-	return engine.Map(len(qs), func(i int) (Prediction, error) {
-		return p.Predict(qs[i])
-	}, batchOptions(ctx, workers))
-}
-
 // puePredictor predicts the crash probability of a workload. It implements
 // Predictor for TargetPUE.
 type puePredictor struct {
@@ -230,12 +213,4 @@ func (p *puePredictor) Predict(q Query) (Prediction, error) {
 		Target: TargetPUE, Kind: p.kind, Set: p.set,
 		Value: stats.Clamp(v, 0, 1),
 	}, nil
-}
-
-// PredictBatch implements Predictor; bit-identical to per-query Predict
-// calls at every worker count.
-func (p *puePredictor) PredictBatch(ctx context.Context, qs []Query, workers int) ([]Prediction, error) {
-	return engine.Map(len(qs), func(i int) (Prediction, error) {
-		return p.Predict(qs[i])
-	}, batchOptions(ctx, workers))
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -217,8 +216,8 @@ type Prediction struct {
 
 // Predictor is the unified prediction interface: one trained model for one
 // (target, kind, input set). Implementations are immutable after Train and
-// safe for concurrent use; Predict is deterministic, and PredictBatch is
-// bit-identical to per-query Predict calls at every worker count.
+// safe for concurrent use, and Predict is deterministic: concurrent calls
+// on one predictor answer bit-identically to sequential ones.
 type Predictor interface {
 	// Target, Kind and InputSet identify what the predictor was trained
 	// for and on.
@@ -227,11 +226,6 @@ type Predictor interface {
 	InputSet() InputSet
 	// Predict answers one query.
 	Predict(Query) (Prediction, error)
-	// PredictBatch evaluates the queries on a bounded worker pool and
-	// returns the predictions in query order. ctx cancels outstanding
-	// queries (the serving layer threads shutdown through here); workers
-	// bounds the pool (0 = GOMAXPROCS).
-	PredictBatch(ctx context.Context, qs []Query, workers int) ([]Prediction, error)
 }
 
 // Train fits a predictor for the target on the dataset — the one factory

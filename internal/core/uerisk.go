@@ -1,10 +1,8 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
-	"repro/internal/engine"
 	"repro/internal/ml"
 	"repro/internal/profile"
 	"repro/internal/stats"
@@ -158,14 +156,6 @@ func (p *ueRiskPredictor) Predict(q Query) (Prediction, error) {
 		Target: TargetUERisk, Kind: p.kind, Set: p.set,
 		Value: stats.Clamp(v, 0, 1),
 	}, nil
-}
-
-// PredictBatch implements Predictor; bit-identical to per-query Predict
-// calls at every worker count.
-func (p *ueRiskPredictor) PredictBatch(ctx context.Context, qs []Query, workers int) ([]Prediction, error) {
-	return engine.Map(len(qs), func(i int) (Prediction, error) {
-		return p.Predict(qs[i])
-	}, batchOptions(ctx, workers))
 }
 
 // UERiskEval holds the leave-one-server-out accuracy of one (model, input

@@ -105,13 +105,14 @@ func TestMapWorkerBound(t *testing.T) {
 func TestMapErrorPropagation(t *testing.T) {
 	boom := errors.New("boom")
 	var ran atomic.Int64
-	res, err := Map(1000, func(i int) (int, error) {
+	job := func(i int) (int, error) {
 		ran.Add(1)
 		if i == 3 {
 			return 0, boom
 		}
 		return i, nil
-	}, Options{Workers: 2})
+	}
+	res, err := Map(1000, job, Options{Workers: 2})
 	if err == nil {
 		t.Fatal("expected error")
 	}
@@ -121,14 +122,23 @@ func TestMapErrorPropagation(t *testing.T) {
 	if !strings.Contains(err.Error(), "job 3") {
 		t.Fatalf("error does not name the failing job: %v", err)
 	}
-	if n := ran.Load(); n == 1000 {
-		t.Fatal("error did not stop dispatch: all jobs ran")
-	}
 	// Jobs claimed before the failing job was dispatched run to completion
-	// and keep their results (with 2 workers, jobs 1 and 2 are both done
-	// by the time job 3 is claimed).
+	// and keep their results (claims are in index order, so jobs 1 and 2
+	// were claimed before job 3).
 	if res[1] != 1 || res[2] != 2 {
 		t.Fatalf("partial results lost: %v", res[:4])
+	}
+
+	// Dispatch stops at the failure. With two workers the other one may
+	// legitimately run every remaining job before the failing one records
+	// its error, so the stop is pinned with one worker: jobs 0..3 run, and
+	// nothing after.
+	ran.Store(0)
+	if _, err := Map(1000, job, Options{Workers: 1}); !errors.Is(err, boom) {
+		t.Fatalf("one worker: error chain lost the job error: %v", err)
+	}
+	if n := ran.Load(); n != 4 {
+		t.Fatalf("one worker: %d jobs ran, want 4 (dispatch must stop at the failing job)", n)
 	}
 }
 

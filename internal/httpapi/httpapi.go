@@ -21,8 +21,12 @@ import (
 )
 
 // MaxBodyBytes bounds one request body. The largest legitimate body — a
-// 1024-query predict batch — is well under this.
+// MaxBatch-query predict batch — is well under this.
 const MaxBodyBytes = 1 << 20
+
+// MaxBatch bounds the items of one batch body: the queries of a predict
+// batch (served or routed) and the rows of an ingest batch.
+const MaxBatch = 1024
 
 // The error codes every surface shares. Each error response carries
 // exactly one code, plus the offending field where one exists; packages
@@ -165,6 +169,25 @@ func DecodeBody(r *http.Request, v any) *Error {
 	if err := dec.Decode(v); err != nil {
 		return DecodeErr(err)
 	}
+	return noTrailing(dec)
+}
+
+// DecodeEmpty is DecodeBody for endpoints that take no parameters: the
+// body must be empty or an empty JSON object.
+func DecodeEmpty(r *http.Request) *Error {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	var body struct{}
+	if err := dec.Decode(&body); err == io.EOF {
+		return nil
+	} else if err != nil {
+		return DecodeErr(err)
+	}
+	return noTrailing(dec)
+}
+
+// noTrailing rejects anything but whitespace after the decoded document.
+func noTrailing(dec *json.Decoder) *Error {
 	var extra struct{}
 	if err := dec.Decode(&extra); err != io.EOF {
 		return Errf(http.StatusBadRequest, CodeMalformedBody, "",

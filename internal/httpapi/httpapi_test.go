@@ -115,6 +115,25 @@ func TestDecodeBodyStrict(t *testing.T) {
 	}
 }
 
+// TestDecodeEmpty: an empty body, whitespace or one empty object is
+// accepted; anything else fails like DecodeBody, trailing data included.
+func TestDecodeEmpty(t *testing.T) {
+	decode := func(payload string) *Error {
+		return DecodeEmpty(httptest.NewRequest(http.MethodPost, "/x", strings.NewReader(payload)))
+	}
+	for _, payload := range []string{"", " \n", "{}", "{} \n"} {
+		if e := decode(payload); e != nil {
+			t.Fatalf("decode %q = %v, want accepted", payload, e)
+		}
+	}
+	for _, payload := range []string{`{"a":1}`, `{} {}`, `{} x`, `{`, `[]`, `null x`} {
+		e := decode(payload)
+		if e == nil || e.Status != http.StatusBadRequest || e.Code != CodeMalformedBody {
+			t.Fatalf("decode %q = %+v, want 400 malformed_body", payload, e)
+		}
+	}
+}
+
 // TestErrorAt: At prefixes the batch locator on a copy.
 func TestErrorAt(t *testing.T) {
 	e := Errf(http.StatusNotFound, "unknown_workload", "workload", "no %s", "doom")

@@ -3,6 +3,7 @@ package ml
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -191,9 +192,17 @@ func BenchmarkKNNPredict(b *testing.B) {
 	for j := range q {
 		q[j] = 0.05 * float64(j)
 	}
-	m.Predict(q) // warm the scratch pool before counting allocs
 	b.Run("select", func(b *testing.B) {
+		// Stock the scratch pool inside each round, since the framework's
+		// GC before a round empties it, and with more arenas than there
+		// are Ps: the spares sit in the pool's shared list, so a goroutine
+		// that migrates to another P mid-loop takes one there instead of
+		// allocating a scratch arena in the timed loop.
+		for p := 0; p <= runtime.GOMAXPROCS(0); p++ {
+			m.scratch.Put(m.scratch.New())
+		}
 		b.ReportAllocs()
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			m.Predict(q)
 		}

@@ -5,8 +5,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-
-	"repro/internal/httpapi"
 )
 
 // replayBody is a resettable request body so the decode benchmark can
@@ -15,11 +13,11 @@ type replayBody struct{ strings.Reader }
 
 func (*replayBody) Close() error { return nil }
 
-// BenchmarkDecodePredictV2 isolates the pooled /v2 request-decode path:
-// one op takes a decode target from v2BodyPool, decodes a single-query
-// document carrying explicit targets and a CE telemetry window into it,
-// and returns it to the pool. Tracked in BENCH_<machine-class>.json by
-// scripts/bench.sh.
+// BenchmarkDecodePredictV2 isolates the pooled /v2 request decode: one op
+// takes a request state from requestPool, decodes a single-query document
+// carrying explicit targets and a CE telemetry window into it through the
+// /v2 surface's decode, and recycles it. Tracked in
+// BENCH_<machine-class>.json by scripts/bench.sh.
 func BenchmarkDecodePredictV2(b *testing.B) {
 	const doc = `{"workload":"nw","trefp":1.173,"temp_c":60,"targets":["ue_risk"],` +
 		`"ce":[{"t":1,"row":42,"col":3,"bank":0,"rank":1},` +
@@ -32,11 +30,11 @@ func BenchmarkDecodePredictV2(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		body.Reset(doc)
-		v := v2BodyPool.Get().(*predictBodyV2)
-		if e := httpapi.DecodeBody(req, v); e != nil {
+		rq := requestPool.Get().(*request)
+		if e := predictV2.decode(req, rq); e != nil {
 			b.Fatalf("decode failed: %v", e)
 		}
-		putV2Body(v)
+		putRequest(rq)
 	}
 }
 

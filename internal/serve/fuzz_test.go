@@ -12,13 +12,13 @@ import (
 )
 
 // FuzzDecodePredictV2 drives arbitrary bytes through the strict /v2
-// request decode and the pooled-body recycling path. The invariants are
-// the ones the zero-allocation hot path depends on: decode never panics,
-// and decoding into a recycled body — one that has already absorbed a
-// different request and been reset by putV2Body — yields exactly the
-// same document as decoding into a fresh body. A pool-reset bug (a field
-// surviving put) shows up as a diff here long before it corrupts a
-// production prediction.
+// request decode and the pooled request-state recycling path. The
+// invariants are the ones the zero-allocation hot path depends on: decode
+// never panics, and decoding into a recycled request state — one that has
+// already absorbed a different request and been reset by putRequest —
+// yields exactly the same document and queries as decoding into a fresh
+// state. A pool-reset bug (a field surviving put) shows up as a diff here
+// long before it corrupts a production prediction.
 func FuzzDecodePredictV2(f *testing.F) {
 	f.Add([]byte(`{"workload":"backprop","trefp":1.173,"temp_c":45}`))
 	f.Add([]byte(`{"workload":"kmeans","trefp":0.618,"temp_c":60,"vdd":1.428,"model":"KNN","input_set":2,"targets":["wer","pue"]}`))
@@ -32,10 +32,10 @@ func FuzzDecodePredictV2(f *testing.F) {
 	f.Add([]byte(`[1,2,3]`))
 
 	// Sparse events after a fully-populated window: element reuse must
-	// not leak the earlier coordinates (the putV2Body CE clear).
+	// not leak the earlier coordinates (the request.reset CE clear).
 	f.Add([]byte(`{"workload":"backprop","trefp":1,"temp_c":1,"ce":[{"t":3}]}`))
 
-	// A poison request: decoded into the body first so the pool reset has
+	// A poison request: decoded into the state first so the pool reset has
 	// real state to scrub (non-empty targets, a fully-populated top-level
 	// CE window whose elements would leak into sparse follow-up events,
 	// and a batch).
@@ -44,17 +44,20 @@ func FuzzDecodePredictV2(f *testing.F) {
 		`"queries":[{"workload":"nn","trefp":1.2,"temp_c":8,"ce":[{"t":1,"rank":7}]}]}`)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fresh := new(predictBodyV2)
-		freshErr := httpapi.DecodeBody(httptest.NewRequest("POST", "/v2/predict", bytes.NewReader(data)), fresh)
+		decode := func(rq *request, doc []byte) *httpapi.Error {
+			return decodeV2(httptest.NewRequest("POST", "/v2/predict", bytes.NewReader(doc)), rq)
+		}
+		fresh := new(request)
+		freshErr := decode(fresh, data)
 
-		// Dirty a pooled body with the poison document, recycle it, then
-		// decode the fuzz document into the recycled body.
-		recycled := v2BodyPool.Get().(*predictBodyV2)
-		_ = httpapi.DecodeBody(httptest.NewRequest("POST", "/v2/predict", bytes.NewReader(poison)), recycled)
-		putV2Body(recycled)
-		recycled = v2BodyPool.Get().(*predictBodyV2)
-		defer putV2Body(recycled)
-		recycledErr := httpapi.DecodeBody(httptest.NewRequest("POST", "/v2/predict", bytes.NewReader(data)), recycled)
+		// Dirty a pooled state with the poison document, recycle it, then
+		// decode the fuzz document into the recycled state.
+		recycled := requestPool.Get().(*request)
+		_ = decode(recycled, poison)
+		putRequest(recycled)
+		recycled = requestPool.Get().(*request)
+		defer putRequest(recycled)
+		recycledErr := decode(recycled, data)
 
 		if (freshErr == nil) != (recycledErr == nil) {
 			t.Fatalf("fresh decode err=%v, recycled decode err=%v", freshErr, recycledErr)
@@ -63,16 +66,37 @@ func FuzzDecodePredictV2(f *testing.F) {
 			return
 		}
 		// Normalize the empty-slice-vs-nil difference the pool reset
-		// legitimately introduces for Targets and CE (len 0 either way);
-		// Queries nil-ness is semantic and must match exactly.
-		if len(fresh.Targets) == 0 && len(recycled.Targets) == 0 {
-			fresh.Targets, recycled.Targets = nil, nil
+		// legitimately introduces for Targets, CE and the decoded queries
+		// (len 0 either way); body.Queries nil-ness is semantic and must
+		// match exactly.
+		norm := func(rq *request) {
+			if len(rq.queries) == 0 {
+				rq.queries = nil
+			}
+			for i := range rq.queries {
+				q := &rq.queries[i]
+				if len(q.Targets) == 0 {
+					q.Targets = nil
+				}
+				if len(q.CE) == 0 {
+					q.CE = nil
+				}
+			}
+			if len(rq.body.Targets) == 0 {
+				rq.body.Targets = nil
+			}
+			if len(rq.body.CE) == 0 {
+				rq.body.CE = nil
+			}
 		}
-		if len(fresh.CE) == 0 && len(recycled.CE) == 0 {
-			fresh.CE, recycled.CE = nil, nil
+		norm(fresh)
+		norm(recycled)
+		if !reflect.DeepEqual(fresh.body, recycled.body) {
+			t.Fatalf("pool reset leaked body state:\nfresh:    %+v\nrecycled: %+v", fresh.body, recycled.body)
 		}
-		if !reflect.DeepEqual(fresh, recycled) {
-			t.Fatalf("pool reset leaked state:\nfresh:    %+v\nrecycled: %+v", fresh, recycled)
+		if fresh.batch != recycled.batch || !reflect.DeepEqual(fresh.queries, recycled.queries) {
+			t.Fatalf("pool reset leaked query state:\nfresh:    %v %+v\nrecycled: %v %+v",
+				fresh.batch, fresh.queries, recycled.batch, recycled.queries)
 		}
 	})
 }

@@ -1,9 +1,7 @@
 package serve
 
 import (
-	"encoding/json"
 	"errors"
-	"io"
 	"net/http"
 	"sort"
 	"time"
@@ -22,8 +20,8 @@ import (
 // buffered rows into a retrain. The pipeline's retrain callback lands in
 // retrainWith below: it rebuilds the dataset through the same trainer
 // seams the registry uses, persists the artifact atomically, and publishes
-// through the refcounted generation swap — in-flight queries finish on the
-// generation they started with, exactly as a /v1/reload.
+// through the generation swap — in-flight queries finish on the generation
+// they started with, exactly as a /v1/reload.
 
 // IngestRequestV2 is the POST /v2/ingest body.
 type IngestRequestV2 struct {
@@ -73,9 +71,9 @@ func (s *Server) handleIngestV2(w http.ResponseWriter, r *http.Request) {
 		httpapi.WriteError(w, httpapi.Errf(http.StatusBadRequest, httpapi.CodeEmptyBatch, "rows", "empty batch"))
 		return
 	}
-	if len(body.Rows) > maxBatchBody {
+	if len(body.Rows) > httpapi.MaxBatch {
 		httpapi.WriteError(w, httpapi.Errf(http.StatusBadRequest, httpapi.CodeBatchTooLarge, "rows",
-			"batch of %d exceeds %d", len(body.Rows), maxBatchBody))
+			"batch of %d exceeds %d", len(body.Rows), httpapi.MaxBatch))
 		return
 	}
 	for i := range body.Rows {
@@ -120,11 +118,8 @@ func (s *Server) handleIngestV2(w http.ResponseWriter, r *http.Request) {
 // retrain now. Same empty-body contract as /v1/reload; a retrain already
 // running (a background trigger mid-rebuild) answers 409.
 func (s *Server) handleRetrainV2(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	var body struct{}
-	if err := dec.Decode(&body); err != nil && err != io.EOF {
-		httpapi.WriteError(w, httpapi.DecodeErr(err))
+	if e := httpapi.DecodeEmpty(r); e != nil {
+		httpapi.WriteError(w, e)
 		return
 	}
 	if s.ingest == nil {

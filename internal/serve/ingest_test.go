@@ -98,6 +98,22 @@ func TestIngestDisabled(t *testing.T) {
 	}
 }
 
+// TestEmptyBodyEndpointsRejectTrailingData: /v1/reload and /v2/retrain
+// take an empty body or one empty object, under the same strict decode as
+// every other body — a second document is 400 malformed_body, reported
+// before the endpoint's own preconditions.
+func TestEmptyBodyEndpointsRejectTrailingData(t *testing.T) {
+	_, ts := newTestServer(t)
+	resp, body := post(t, ts, "/v2/retrain", "application/json", `{} {}`)
+	if code, _, _ := errV2(t, body); resp.StatusCode != http.StatusBadRequest || code != httpapi.CodeMalformedBody {
+		t.Fatalf("/v2/retrain {} {} = %d %q, want 400 %q", resp.StatusCode, code, httpapi.CodeMalformedBody)
+	}
+	resp, body = postReload(t, ts, `{} {}`)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "trailing data") {
+		t.Fatalf("/v1/reload {} {} = %d: %s, want 400 trailing data", resp.StatusCode, body)
+	}
+}
+
 func TestIngestValidation(t *testing.T) {
 	_, ts := newIngestServer(t, ingest.Config{Capacity: 64}, "")
 	cases := []struct {
@@ -139,7 +155,7 @@ func TestIngestValidation(t *testing.T) {
 		})
 	}
 	// Oversized batch: one past the shared cap.
-	big := make([]string, maxBatchBody+1)
+	big := make([]string, httpapi.MaxBatch+1)
 	for i := range big {
 		big[i] = `{"trefp":1.8,"temp_c":60,"ue":1,"server":"s0"}`
 	}

@@ -14,17 +14,22 @@
 //	GET  /healthz      liveness, dataset shape, serving generation
 //	GET  /metrics      request/cache/model/reload counters and histograms
 //
-// Both predict surfaces run the same resolve → model → predict path over
-// the unified core.Predictor API; /v1 is a thin adapter that always
-// requests every target and renders the legacy wire format (pinned
+// Both predict surfaces run one handler, handlePredict: decode, pin the
+// serving generation, resolve and predict every query over the unified
+// core.Predictor API, render, recycle. A surface contributes only its
+// decode, its render and its error writer (predictAPI): /v1 always
+// requests the wer/pue pair and renders the legacy wire format (pinned
 // byte-for-byte by golden tests), while /v2 takes a per-query target
 // selection — a PUE-only query never trains or waits for a WER model,
 // because the model registry is keyed on the full (target, kind, input
 // set) triple — and reports failures as machine-readable
-// {code, field, message} errors. Method and content-type enforcement is
-// uniform across every endpoint (internal/httpapi, shared with the cluster
-// router): wrong method is 405 with Allow set, non-JSON POST content is
-// 415.
+// {code, field, message} errors. Everything one predict call holds — the
+// decoded body, one item per query, one answer per target — is a single
+// pooled request, recycled once after the response is written, so a warm
+// query reuses the previous one's storage. Method and content-type
+// enforcement is uniform across every endpoint (internal/httpapi, shared
+// with the cluster router): wrong method is 405 with Allow set, non-JSON
+// POST content is 415.
 //
 // Two caches keep the warm path far under the 300 ms budget while the cold
 // path stays correct under concurrency; a warm query is a profile lookup, a
@@ -54,8 +59,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
-	"io"
 	"math"
 	"net/http"
 	"sync"
@@ -70,9 +73,6 @@ import (
 	"repro/internal/profile"
 	"repro/internal/workload"
 )
-
-// maxBatchBody bounds the number of queries in one request body.
-const maxBatchBody = 1024
 
 // Options configures a Server.
 type Options struct {
@@ -208,8 +208,8 @@ func (s *Server) Handler() http.Handler {
 	route := func(path, method string, werr httpapi.ErrWriter, h http.HandlerFunc) {
 		mux.HandleFunc(path, s.metrics.requests.Counted(path, httpapi.Endpoint(method, werr, h)))
 	}
-	route("/v1/predict", http.MethodPost, writeErrorV1, s.handlePredictV1)
-	route("/v2/predict", http.MethodPost, httpapi.WriteError, s.handlePredictV2)
+	route("/v1/predict", http.MethodPost, predictV1.werr, s.handlePredict(predictV1))
+	route("/v2/predict", http.MethodPost, predictV2.werr, s.handlePredict(predictV2))
 	route("/v2/stats", http.MethodGet, httpapi.WriteError, s.handleStatsV2)
 	route("/v2/ingest", http.MethodPost, httpapi.WriteError, s.handleIngestV2)
 	route("/v2/retrain", http.MethodPost, httpapi.WriteError, s.handleRetrainV2)
@@ -221,34 +221,77 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// query is the version-independent form of one prediction request, after
-// JSON decoding and before validation.
-type query struct {
-	Workload string
-	TREFP    float64
-	TempC    float64
-	VDD      float64
-	Model    string
-	InputSet int
-	// Targets is the requested target selection; nil means the serving
-	// generation's default selection (see generation.defaults).
-	Targets []string
-	// CE is the query's correctable-error telemetry window, consumed by
-	// NeedsTelemetry targets.
-	CE []profile.CEEvent
-}
-
 // numTargets is the registry size: the most targets one query can request
-// (every registered target, deduplicated). The pooled per-query
-// intermediates below size their reusable backing slices to it, so a warm
-// query allocates nothing regardless of how many targets are registered.
+// (every registered target, deduplicated). Each pooled item sizes its
+// answers to it, so a warm query allocates nothing regardless of how many
+// targets are registered.
 var numTargets = len(core.Targets())
 
-// resolved is a validated query bound to its feature vector and models.
-// Instances are pooled: the handlers return them through putResolved once
-// the response is rendered, so a warm query reuses the previous one's
-// storage instead of allocating.
-type resolved struct {
+// maxPooledQueries bounds the request states the pool keeps: a state that
+// grew past a batch this large is dropped rather than recycled, so one
+// outsized body cannot pin its storage for the server's lifetime.
+const maxPooledQueries = 64
+
+// request is the pooled state of one predict call, from decode to the
+// written response: the decoded /v2 body, the queries in /v2 form and one
+// item per query. It is recycled once, after the response is written, so
+// queries and items may alias the body (an item's ce is its query's CE
+// window): the whole state lives and dies together.
+type request struct {
+	// body is the /v2 decode target; encoding/json decodes into its
+	// retained Targets and CE capacity.
+	body predictBodyV2
+	// batch is set by a body with a "queries" key, even an empty one.
+	batch   bool
+	queries []PredictRequestV2
+	items   []item
+}
+
+var requestPool = sync.Pool{New: func() any { return new(request) }}
+
+// putRequest recycles rq, or drops it once it has grown past
+// maxPooledQueries.
+func putRequest(rq *request) {
+	if cap(rq.queries) > maxPooledQueries || cap(rq.items) > maxPooledQueries {
+		return
+	}
+	rq.reset()
+	requestPool.Put(rq)
+}
+
+// reset clears rq for reuse, keeping its backing arrays. The rules are
+// subtle: encoding/json leaves fields absent from a document at their
+// pre-decode values and reuses array elements when decoding into existing
+// capacity, overwriting only the fields present. So every element is
+// cleared to full capacity — a sparse CE event like {"t":1} would
+// otherwise inherit the previous request's DRAM coordinates — and
+// body.Queries returns to nil, not length zero, because nil is how a
+// single query is told apart from an explicit empty batch. Clearing also
+// drops every reference a pooled state could pin: request strings, a
+// retired generation's features and models, ByRank storage and errors.
+func (rq *request) reset() {
+	b := &rq.body
+	targets, ce := b.Targets[:0], b.CE[:0]
+	clear(targets[:cap(targets)])
+	clear(ce[:cap(ce)])
+	clear(b.Queries) // batch elements own their own Targets/CE slices
+	*b = predictBodyV2{PredictRequestV2: PredictRequestV2{Targets: targets, CE: ce}}
+	clear(rq.queries[:cap(rq.queries)])
+	rq.queries = rq.queries[:0]
+	items := rq.items[:cap(rq.items)]
+	for i := range items {
+		answers := items[i].answers[:0]
+		clear(answers[:cap(answers)])
+		items[i] = item{answers: answers}
+	}
+	rq.items = items[:0]
+	rq.batch = false
+}
+
+// item is one query of a request: its validated inputs bound to the
+// workload's feature vector, and one answer per requested target. resolve
+// fills the inputs and predictOne the answers, both in place.
+type item struct {
 	workload string
 	trefp    float64
 	tempC    float64
@@ -256,65 +299,162 @@ type resolved struct {
 	kind     core.ModelKind
 	// set is the explicitly requested input set, 0 meaning each target's
 	// published default.
-	set core.InputSet
-	// targets is the requested selection in request order, deduplicated.
-	// Its backing array is pooled with the struct (cap numTargets).
-	targets []core.Target
-	feats   []float64
-	// ce aliases the decoded request's telemetry window; the handler keeps
-	// the request body alive until the response is rendered.
-	ce []profile.CEEvent
+	set   core.InputSet
+	feats []float64
+	ce    []profile.CEEvent
+	// answers are the requested targets in request order, deduplicated;
+	// the backing array (cap numTargets) is pooled with the request.
+	answers []answer
+	// elapsed is the wall time of this query's model resolution and
+	// prediction.
+	elapsed time.Duration
 }
 
-var resolvedPool = sync.Pool{New: func() any {
-	return &resolved{targets: make([]core.Target, 0, numTargets)}
-}}
-
-// putResolved recycles r. Reference fields are dropped so a pooled entry
-// cannot pin a retired generation's profile features or a request body.
-func putResolved(r *resolved) {
-	if r == nil {
-		return
-	}
-	r.feats = nil
-	r.ce = nil
-	r.targets = r.targets[:0]
-	resolvedPool.Put(r)
+// answer is one requested target of an item: the model answering it, the
+// model's serving counters, and the prediction or its failure.
+type answer struct {
+	target core.Target
+	mv     modelVal
+	stat   *modelStat
+	pred   core.Prediction
+	err    error
 }
 
 // setFor resolves the input set serving one target.
-func (r *resolved) setFor(t core.Target) core.InputSet {
-	if r.set != 0 {
-		return r.set
+func (it *item) setFor(t core.Target) core.InputSet {
+	if it.set != 0 {
+		return it.set
 	}
 	return t.DefaultInputSet()
 }
 
-// resolve validates one query and resolves its workload profile on
-// generation g.
-func (s *Server) resolve(g *generation, q query) (*resolved, *httpapi.Error) {
+// predictAPI is one predict surface's wire format: how a body decodes into
+// a request's queries, how answered items render, and how errors are
+// written. Everything in between is handlePredict's.
+type predictAPI struct {
+	werr   httpapi.ErrWriter
+	decode func(*http.Request, *request) *httpapi.Error
+	render func(http.ResponseWriter, *generation, *request)
+}
+
+// handlePredict is the one predict path, behind both /v1/predict and
+// /v2/predict: decode, pin the serving generation, resolve and predict
+// every query, render, then recycle the request state.
+func (s *Server) handlePredict(api predictAPI) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		rq := requestPool.Get().(*request)
+		defer putRequest(rq)
+		s.servePredict(api, w, r, rq)
+	}
+}
+
+// servePredict answers one predict request into the state rq; the caller
+// recycles rq after it returns.
+func (s *Server) servePredict(api predictAPI, w http.ResponseWriter, r *http.Request, rq *request) {
+	start := time.Now()
+	if e := api.decode(r, rq); e != nil {
+		api.werr(w, e)
+		return
+	}
+	defer func() { s.metrics.predictSeconds.Observe(time.Since(start)) }()
+
+	// Pin the serving generation for the whole request: a reload swapping
+	// in a new dataset mid-request must not mix state.
+	g, err := s.acquire()
+	if err != nil {
+		api.werr(w, servingErr(err))
+		return
+	}
+	if e := s.answer(g, rq); e != nil {
+		api.werr(w, e)
+		return
+	}
+	api.render(w, g, rq)
+}
+
+// answer resolves and predicts every query of rq in place. A batch is
+// all-or-nothing (the response always has one result per query) and its
+// failure is located at the failing query. Batch resolution fans out so a
+// cold batch naming several unprofiled workloads pays for the slowest
+// profile build, not their sum; the queries then predict concurrently.
+func (s *Server) answer(g *generation, rq *request) *httpapi.Error {
+	n := len(rq.queries)
+	if rq.batch && n == 0 {
+		return httpapi.Errf(http.StatusBadRequest, httpapi.CodeEmptyBatch, "queries", "empty batch")
+	}
+	if n > httpapi.MaxBatch {
+		return httpapi.Errf(http.StatusBadRequest, httpapi.CodeBatchTooLarge, "queries",
+			"batch of %d exceeds %d", n, httpapi.MaxBatch)
+	}
+	if cap(rq.items) < n {
+		rq.items = make([]item, n)
+	}
+	rq.items = rq.items[:n]
+	if !rq.batch {
+		if e := s.resolve(g, &rq.queries[0], &rq.items[0]); e != nil {
+			return e
+		}
+		return s.predictOne(g, &rq.items[0])
+	}
+	errs, err := engine.Map(n, func(i int) (*httpapi.Error, error) {
+		return s.resolve(g, &rq.queries[i], &rq.items[i]), nil
+	}, engine.Options{Workers: s.workers, Context: s.ctx})
+	if err != nil {
+		// Only server shutdown cancels the resolve fan-out (per-query
+		// failures travel in errs); errs may hold skipped entries, so
+		// bail before reading them.
+		return servingErr(err)
+	}
+	for i, e := range errs {
+		if e != nil {
+			return e.At(i)
+		}
+	}
+	var wg sync.WaitGroup
+	for i := range rq.items {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = s.predictOne(g, &rq.items[i])
+		}(i)
+	}
+	wg.Wait()
+	for i, e := range errs {
+		if e != nil {
+			return e.At(i)
+		}
+	}
+	return nil
+}
+
+// resolve validates one query and fills it in with its inputs on
+// generation g: the workload's profile features and the requested
+// targets.
+func (s *Server) resolve(g *generation, q *PredictRequestV2, it *item) *httpapi.Error {
 	spec, err := workload.FindSpec(q.Workload)
 	if err != nil {
-		return nil, httpapi.Errf(http.StatusNotFound, codeUnknownWorkload, "workload", "%v", err)
+		return httpapi.Errf(http.StatusNotFound, codeUnknownWorkload, "workload", "%v", err)
 	}
 	if q.TREFP <= 0 || math.IsNaN(q.TREFP) || math.IsInf(q.TREFP, 0) {
-		return nil, httpapi.Errf(http.StatusBadRequest, codeOutOfRange, "trefp", "trefp %v out of range", q.TREFP)
+		return httpapi.Errf(http.StatusBadRequest, codeOutOfRange, "trefp", "trefp %v out of range", q.TREFP)
 	}
 	if math.IsNaN(q.TempC) || math.IsInf(q.TempC, 0) {
-		return nil, httpapi.Errf(http.StatusBadRequest, codeOutOfRange, "temp_c", "temp_c %v out of range", q.TempC)
+		return httpapi.Errf(http.StatusBadRequest, codeOutOfRange, "temp_c", "temp_c %v out of range", q.TempC)
 	}
-	if q.VDD == 0 {
-		q.VDD = dram.MinVDD
+	vdd := q.VDD
+	if vdd == 0 {
+		vdd = dram.MinVDD
 	}
-	if q.VDD < 0 || math.IsNaN(q.VDD) || math.IsInf(q.VDD, 0) {
-		return nil, httpapi.Errf(http.StatusBadRequest, codeOutOfRange, "vdd", "vdd %v out of range", q.VDD)
+	if vdd < 0 || math.IsNaN(vdd) || math.IsInf(vdd, 0) {
+		return httpapi.Errf(http.StatusBadRequest, codeOutOfRange, "vdd", "vdd %v out of range", vdd)
 	}
-	if q.Model == "" {
-		q.Model = string(core.ModelKNN)
+	model := q.Model
+	if model == "" {
+		model = string(core.ModelKNN)
 	}
-	kind, err := core.ParseModelKind(q.Model)
+	kind, err := core.ParseModelKind(model)
 	if err != nil {
-		return nil, httpapi.Errf(http.StatusBadRequest, codeUnknownModel, "model", "unknown model %q", q.Model)
+		return httpapi.Errf(http.StatusBadRequest, codeUnknownModel, "model", "unknown model %q", model)
 	}
 	var set core.InputSet
 	switch q.InputSet {
@@ -323,228 +463,114 @@ func (s *Server) resolve(g *generation, q query) (*resolved, *httpapi.Error) {
 	case 1, 2, 3:
 		set = core.InputSet(q.InputSet)
 	default:
-		return nil, httpapi.Errf(http.StatusBadRequest, codeOutOfRange, "input_set", "input_set %d out of range", q.InputSet)
+		return httpapi.Errf(http.StatusBadRequest, codeOutOfRange, "input_set", "input_set %d out of range", q.InputSet)
 	}
 	if err := profile.ValidateCEEvents(q.CE); err != nil {
-		return nil, httpapi.Errf(http.StatusBadRequest, codeBadTelemetry, "ce", "%v", err)
+		return httpapi.Errf(http.StatusBadRequest, codeBadTelemetry, "ce", "%v", err)
 	}
-	r2 := resolvedPool.Get().(*resolved)
-	targets := r2.targets[:0]
+	if it.answers == nil {
+		it.answers = make([]answer, 0, numTargets)
+	}
+	answers := it.answers[:0]
 	if len(q.Targets) == 0 {
 		// The generation's default selection: every target its artifact can
 		// serve, with telemetry targets joining only when the query actually
 		// carries CE events — a plain operating-point query against a
 		// telemetry-bearing artifact still answers exactly wer+pue.
-		targets = append(targets, g.defaults...)
+		for _, t := range g.defaults {
+			answers = append(answers, answer{target: t})
+		}
 		if len(q.CE) > 0 {
-			targets = append(targets, g.telemetryTargets...)
+			for _, t := range g.telemetryTargets {
+				answers = append(answers, answer{target: t})
+			}
 		}
 	} else {
+	names:
 		for _, name := range q.Targets {
 			t, err := core.ParseTarget(name)
 			if err != nil {
-				putResolved(r2)
-				return nil, httpapi.Errf(http.StatusBadRequest, codeUnknownTarget, "targets", "unknown target %q", name)
+				return httpapi.Errf(http.StatusBadRequest, codeUnknownTarget, "targets", "unknown target %q", name)
 			}
 			if !g.available[t] {
-				putResolved(r2)
-				return nil, httpapi.Errf(http.StatusBadRequest, codeTargetUnavailable, "targets",
+				return httpapi.Errf(http.StatusBadRequest, codeTargetUnavailable, "targets",
 					"target %q has no training rows in the serving artifact", name)
 			}
-			dup := false
-			for _, have := range targets {
-				if have == t {
-					dup = true
-					break
+			for _, have := range answers {
+				if have.target == t {
+					continue names
 				}
 			}
-			if !dup {
-				targets = append(targets, t)
-			}
+			answers = append(answers, answer{target: t})
 		}
 	}
 	prof, err := s.profileFor(g, spec)
 	if err != nil {
-		putResolved(r2)
-		return nil, servingErr(err)
+		return servingErr(err)
 	}
-	r2.workload = spec.Label
-	r2.trefp, r2.tempC, r2.vdd = q.TREFP, q.TempC, q.VDD
-	r2.kind, r2.set = kind, set
-	r2.targets = targets
-	r2.feats = prof.Features
-	r2.ce = q.CE
-	return r2, nil
+	it.workload = spec.Label
+	it.trefp, it.tempC, it.vdd = q.TREFP, q.TempC, vdd
+	it.kind, it.set = kind, set
+	it.feats = prof.Features
+	it.ce = q.CE
+	it.answers = answers
+	return nil
 }
 
-// predicted is one query's answers: preds[i] answers the resolved query's
-// targets[i], plus the wall time of this query's model resolution and
-// predict. Instances are pooled like resolved; every slice keeps a
-// registry-sized backing array across reuses, so the per-target
-// intermediates of a warm query live entirely in pooled storage whatever
-// the catalog size.
-type predicted struct {
-	preds   []core.Prediction
-	mvs     []modelVal
-	stats   []*modelStat
-	errs    []error
-	elapsed time.Duration
-}
-
-var predictedPool = sync.Pool{New: func() any {
-	return &predicted{
-		preds: make([]core.Prediction, 0, numTargets),
-		mvs:   make([]modelVal, 0, numTargets),
-		stats: make([]*modelStat, 0, numTargets),
-		errs:  make([]error, 0, numTargets),
-	}
-}}
-
-// forTargets reslices the pooled backing arrays to one slot per requested
-// target, zero-valued.
-func (p *predicted) forTargets(n int) {
-	p.preds = p.preds[:n]
-	p.mvs = p.mvs[:n]
-	p.stats = p.stats[:n]
-	p.errs = p.errs[:n]
-}
-
-// putPredicted recycles p, clearing the backing arrays to full capacity so
-// a pooled entry cannot pin ByRank result storage, model values or errors
-// from a previous request.
-func putPredicted(p *predicted) {
-	if p == nil {
-		return
-	}
-	clear(p.preds[:cap(p.preds)])
-	clear(p.mvs[:cap(p.mvs)])
-	clear(p.stats[:cap(p.stats)])
-	clear(p.errs[:cap(p.errs)])
-	p.preds = p.preds[:0]
-	p.mvs = p.mvs[:0]
-	p.stats = p.stats[:0]
-	p.errs = p.errs[:0]
-	predictedPool.Put(p)
-}
-
-// pred returns the answer for target t of the query resolved as r.
-func (p *predicted) pred(r *resolved, t core.Target) core.Prediction {
-	for i, tt := range r.targets {
-		if tt == t {
-			return p.preds[i]
-		}
-	}
-	return core.Prediction{}
-}
-
-// predictOne answers one resolved query on generation g. Only the
-// requested targets' models are resolved — a PUE-only query never trains
-// or waits for a WER model.
-func (s *Server) predictOne(g *generation, r *resolved) (*predicted, *httpapi.Error) {
+// predictOne answers one resolved item on generation g. Only the requested
+// targets' models are resolved — a PUE-only query never trains or waits
+// for a WER model.
+func (s *Server) predictOne(g *generation, it *item) *httpapi.Error {
 	start := time.Now()
-	p := predictedPool.Get().(*predicted)
-	p.forTargets(len(r.targets))
-	for i, t := range r.targets {
-		p.stats[i] = s.metrics.models.At(modelKey{t, r.kind, r.setFor(t)})
-		mv, err := s.model(g, t, r.kind, r.setFor(t))
+	for i := range it.answers {
+		a := &it.answers[i]
+		a.stat = s.metrics.models.At(modelKey{a.target, it.kind, it.setFor(a.target)})
+		mv, err := s.model(g, a.target, it.kind, it.setFor(a.target))
 		if err != nil {
-			p.stats[i].errors.Inc()
-			putPredicted(p)
-			return nil, servingErr(err)
+			a.stat.errors.Inc()
+			return servingErr(err)
 		}
-		p.mvs[i] = mv
+		a.mv = mv
 	}
 	// The targets are independent, so they predict concurrently. The
 	// first runs on this goroutine — the common single-target query
 	// spawns nothing.
-	run := func(i int, t core.Target) {
-		predStart := time.Now()
-		pred, err := p.mvs[i].pred.Predict(core.Query{
-			Target: t, Features: r.feats, TREFP: r.trefp, VDD: r.vdd,
-			TempC: r.tempC, Rank: core.RankDevice, CE: r.ce,
-		})
-		if err != nil {
-			p.stats[i].errors.Inc()
-			p.errs[i] = err
-			return
-		}
-		// Per-model serving accounting: one answered query per target,
-		// with the predict call it paid (/v2/stats; the load generator
-		// cross-checks these).
-		p.stats[i].queries.Inc()
-		p.stats[i].latency.Observe(time.Since(predStart))
-		p.preds[i] = pred
-	}
 	var wg sync.WaitGroup
-	for i := 1; i < len(r.targets); i++ {
+	for i := 1; i < len(it.answers); i++ {
 		wg.Add(1)
-		go func(i int, t core.Target) {
+		go func(a *answer) {
 			defer wg.Done()
-			run(i, t)
-		}(i, r.targets[i])
+			it.predict(a)
+		}(&it.answers[i])
 	}
-	run(0, r.targets[0])
+	it.predict(&it.answers[0])
 	wg.Wait()
-	for _, err := range p.errs {
-		if err != nil {
-			putPredicted(p)
-			return nil, servingErr(err)
+	for i := range it.answers {
+		if err := it.answers[i].err; err != nil {
+			return servingErr(err)
 		}
 	}
-	p.elapsed = time.Since(start)
-	return p, nil
+	it.elapsed = time.Since(start)
+	return nil
 }
 
-// predictMany resolves and answers a batch. Resolution is all-or-nothing
-// (the response always has one result per query) and fans out so a cold
-// batch naming several unprofiled workloads pays for the slowest profile
-// build, not their sum; the queries then predict concurrently.
-func (s *Server) predictMany(g *generation, qs []query) ([]*resolved, []*predicted, *httpapi.Error) {
-	if len(qs) == 0 {
-		return nil, nil, httpapi.Errf(http.StatusBadRequest, httpapi.CodeEmptyBatch, "queries", "empty batch")
-	}
-	if len(qs) > maxBatchBody {
-		return nil, nil, httpapi.Errf(http.StatusBadRequest, httpapi.CodeBatchTooLarge, "queries",
-			"batch of %d exceeds %d", len(qs), maxBatchBody)
-	}
-	type resolveOut struct {
-		r *resolved
-		e *httpapi.Error
-	}
-	outs, err := engine.Map(len(qs), func(i int) (resolveOut, error) {
-		r, e := s.resolve(g, qs[i])
-		return resolveOut{r, e}, nil
-	}, engine.Options{Workers: s.workers, Context: s.ctx})
+// predict runs one target's model on the item's inputs, recording the
+// per-model serving accounting: one answered query per target with the
+// predict call it paid (/v2/stats; the load generator cross-checks these).
+func (it *item) predict(a *answer) {
+	start := time.Now()
+	pred, err := a.mv.pred.Predict(core.Query{
+		Target: a.target, Features: it.feats, TREFP: it.trefp, VDD: it.vdd,
+		TempC: it.tempC, Rank: core.RankDevice, CE: it.ce,
+	})
 	if err != nil {
-		// Only server shutdown cancels the resolve fan-out (per-query
-		// failures travel inside resolveOut); outs may hold skipped
-		// zero-valued entries, so bail before touching them.
-		return nil, nil, servingErr(err)
+		a.stat.errors.Inc()
+		a.err = err
+		return
 	}
-	rs := make([]*resolved, len(qs))
-	for i, o := range outs {
-		if o.e != nil {
-			return nil, nil, o.e.At(i)
-		}
-		rs[i] = o.r
-	}
-	preds := make([]*predicted, len(rs))
-	errs := make([]*httpapi.Error, len(rs))
-	var wg sync.WaitGroup
-	for i, rq := range rs {
-		wg.Add(1)
-		go func(i int, rq *resolved) {
-			defer wg.Done()
-			preds[i], errs[i] = s.predictOne(g, rq)
-		}(i, rq)
-	}
-	wg.Wait()
-	for i, e := range errs {
-		if e != nil {
-			return nil, nil, e.At(i)
-		}
-	}
-	return rs, preds, nil
+	a.stat.queries.Inc()
+	a.stat.latency.Observe(time.Since(start))
+	a.pred = pred
 }
 
 // ms renders a duration in the wire format's fractional milliseconds.
@@ -564,14 +590,17 @@ type PredictRequest struct {
 	InputSet int `json:"input_set,omitempty"`
 }
 
-// query converts the v1 wire form to the shared query. The legacy surface
-// pins the original target pair explicitly — its wire format has exactly
-// the wer/pue fields, whatever else the registry has since grown.
-func (r PredictRequest) query() query {
-	return query{
+// v1Targets is the selection of every /v1 query, in the order itemV1
+// reads the answers. The legacy surface pins the original target pair
+// explicitly — its wire format has exactly the wer/pue fields, whatever
+// else the registry has since grown.
+var v1Targets = []string{string(core.TargetWER), string(core.TargetPUE)}
+
+// v2 converts the v1 wire form to the /v2 query it stands for.
+func (r PredictRequest) v2() PredictRequestV2 {
+	return PredictRequestV2{
 		Workload: r.Workload, TREFP: r.TREFP, TempC: r.TempC, VDD: r.VDD,
-		Model: r.Model, InputSet: r.InputSet,
-		Targets: []string{string(core.TargetWER), string(core.TargetPUE)},
+		Model: r.Model, InputSet: r.InputSet, Targets: v1Targets,
 	}
 }
 
@@ -595,86 +624,49 @@ type predictBody struct {
 	Queries []PredictRequest `json:"queries,omitempty"`
 }
 
-// renderV1 adapts a unified prediction to the legacy wire format.
-func renderV1(r *resolved, p *predicted) *PredictResponse {
-	wer := p.pred(r, core.TargetWER)
-	pue := p.pred(r, core.TargetPUE)
+// predictV1 is the legacy surface: it always computes both targets and
+// renders the pinned v1 wire format and error shape.
+var predictV1 = predictAPI{werr: writeErrorV1, decode: decodeV1, render: renderV1}
+
+func decodeV1(r *http.Request, rq *request) *httpapi.Error {
+	var body predictBody
+	if e := httpapi.DecodeBody(r, &body); e != nil {
+		return e
+	}
+	if rq.batch = body.Queries != nil; !rq.batch {
+		rq.queries = append(rq.queries, body.PredictRequest.v2())
+	}
+	for _, q := range body.Queries {
+		rq.queries = append(rq.queries, q.v2())
+	}
+	return nil
+}
+
+func renderV1(w http.ResponseWriter, _ *generation, rq *request) {
+	if !rq.batch {
+		httpapi.WriteJSON(w, http.StatusOK, itemV1(&rq.items[0]))
+		return
+	}
+	results := make([]*PredictResponse, len(rq.items))
+	for i := range rq.items {
+		results[i] = itemV1(&rq.items[i])
+	}
+	httpapi.WriteJSON(w, http.StatusOK, map[string]any{"results": results})
+}
+
+// itemV1 adapts one answered item to the legacy wire format.
+func itemV1(it *item) *PredictResponse {
+	wer, pue := it.answers[0].pred, it.answers[1].pred // v1Targets order
 	return &PredictResponse{
-		Workload:  r.workload,
-		TREFP:     r.trefp,
-		TempC:     r.tempC,
-		VDD:       r.vdd,
-		Model:     string(r.kind),
+		Workload:  it.workload,
+		TREFP:     it.trefp,
+		TempC:     it.tempC,
+		VDD:       it.vdd,
+		Model:     string(it.kind),
 		WERMean:   wer.Value,
 		WERByRank: wer.ByRank,
 		PUE:       pue.Value,
-		ElapsedMS: ms(p.elapsed),
-	}
-}
-
-// handlePredictV1 is the legacy surface: a thin adapter over the shared
-// resolve/predict path that always computes both targets and renders the
-// pinned v1 wire format.
-func (s *Server) handlePredictV1(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	var body predictBody
-	if e := httpapi.DecodeBody(r, &body); e != nil {
-		writeErrorV1(w, e)
-		return
-	}
-	defer func() { s.metrics.predictSeconds.Observe(time.Since(start)) }()
-
-	// Pin the serving generation for the whole request: a reload swapping
-	// in a new dataset mid-request must not mix state.
-	g, err := s.acquire()
-	if err != nil {
-		writeErrorV1(w, servingErr(err))
-		return
-	}
-
-	if body.Queries != nil {
-		qs := make([]query, len(body.Queries))
-		for i, q := range body.Queries {
-			qs[i] = q.query()
-		}
-		rs, preds, e := s.predictMany(g, qs)
-		if e != nil {
-			writeErrorV1(w, e)
-			return
-		}
-		results := make([]*PredictResponse, len(rs))
-		for i := range rs {
-			results[i] = renderV1(rs[i], preds[i])
-		}
-		httpapi.WriteJSON(w, http.StatusOK, map[string]any{"results": results})
-		freeMany(rs, preds)
-		return
-	}
-
-	rq, e := s.resolve(g, body.PredictRequest.query())
-	if e != nil {
-		writeErrorV1(w, e)
-		return
-	}
-	p, e := s.predictOne(g, rq)
-	if e != nil {
-		putResolved(rq)
-		writeErrorV1(w, e)
-		return
-	}
-	httpapi.WriteJSON(w, http.StatusOK, renderV1(rq, p))
-	putResolved(rq)
-	putPredicted(p)
-}
-
-// freeMany recycles a batch's intermediates after its response is
-// rendered.
-func freeMany(rs []*resolved, preds []*predicted) {
-	for _, r := range rs {
-		putResolved(r)
-	}
-	for _, p := range preds {
-		putPredicted(p)
+		ElapsedMS: ms(it.elapsed),
 	}
 }
 
@@ -684,13 +676,8 @@ func freeMany(rs []*resolved, preds []*predicted) {
 // substitution. Operators choose the artifact at startup (-load); the
 // request body must be empty or an empty JSON object.
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	var body struct{}
-	if err := dec.Decode(&body); err != nil && err != io.EOF {
-		// Same decode contract as everywhere else (413 past the body cap,
-		// 400 otherwise), with an entirely empty body additionally allowed.
-		writeErrorV1(w, httpapi.DecodeErr(err))
+	if e := httpapi.DecodeEmpty(r); e != nil {
+		writeErrorV1(w, e)
 		return
 	}
 	if s.artifactPath == "" {

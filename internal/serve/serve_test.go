@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dram"
+	"repro/internal/httpapi"
 	"repro/internal/workload"
 	"repro/internal/xgene"
 )
@@ -360,7 +361,7 @@ func TestPredictErrorPaths(t *testing.T) {
 	// Oversized batch.
 	var sb strings.Builder
 	sb.WriteString(`{"queries":[`)
-	for i := 0; i <= maxBatchBody; i++ {
+	for i := 0; i <= httpapi.MaxBatch; i++ {
 		if i > 0 {
 			sb.WriteString(",")
 		}

@@ -2,8 +2,6 @@ package serve
 
 import (
 	"net/http"
-	"sync"
-	"time"
 
 	"repro/internal/httpapi"
 	"repro/internal/profile"
@@ -37,47 +35,10 @@ type PredictRequestV2 struct {
 	CE []profile.CEEvent `json:"ce,omitempty"`
 }
 
-func (r PredictRequestV2) query() query {
-	return query{
-		Workload: r.Workload, TREFP: r.TREFP, TempC: r.TempC, VDD: r.VDD,
-		Model: r.Model, InputSet: r.InputSet, Targets: r.Targets, CE: r.CE,
-	}
-}
-
 // predictBodyV2 accepts either a single query or a batch.
 type predictBodyV2 struct {
 	PredictRequestV2
 	Queries []PredictRequestV2 `json:"queries,omitempty"`
-}
-
-// v2BodyPool recycles decode targets for /v2/predict so the warm
-// single-query path allocates no body struct and reuses the previous
-// request's Targets and CE backing arrays (encoding/json decodes into
-// existing capacity). The reset rules are subtle: fields absent from a
-// document keep their pre-decode values, so everything must be cleared on
-// put — and Queries must return to nil, not length zero, because the
-// handler distinguishes a single query (no "queries" key) from an
-// explicit empty batch by that nil.
-var v2BodyPool = sync.Pool{New: func() any { return new(predictBodyV2) }}
-
-// putV2Body returns a decode target to the pool. Callers must be done
-// with every slice the body owns — resolved.ce aliases the body's CE
-// until the prediction completes — so handlers defer this until after
-// the response renders.
-func putV2Body(b *predictBodyV2) {
-	targets := b.Targets[:0]
-	clear(targets[:cap(targets)]) // drop string refs pinned past the reslice
-	ce := b.CE[:0]
-	// Zero the CE elements, not just the length: encoding/json reuses
-	// existing array elements when decoding into capacity and only
-	// overwrites the fields present in the document, so a sparse event
-	// like {"t":1} would otherwise inherit the previous request's DRAM
-	// coordinates.
-	clear(ce[:cap(ce)])
-	clear(b.Queries) // batch elements own their own Targets/CE slices
-	b.Queries = nil
-	b.PredictRequestV2 = PredictRequestV2{Targets: targets, CE: ce}
-	v2BodyPool.Put(b)
 }
 
 // TargetResultV2 is one target's prediction inside a /v2 response.
@@ -117,85 +78,62 @@ type PredictBatchResponseV2 struct {
 	Fingerprint string           `json:"fingerprint"`
 }
 
-// renderV2 adapts a unified prediction to the /v2 item shape.
-func renderV2(r *resolved, p *predicted) *PredictItemV2 {
-	out := &PredictItemV2{
-		Workload:    r.workload,
-		TREFP:       r.trefp,
-		TempC:       r.tempC,
-		VDD:         r.vdd,
-		Model:       string(r.kind),
-		Predictions: make(map[string]TargetResultV2, len(r.targets)),
-		ElapsedMS:   ms(p.elapsed),
+// predictV2 is the /v2 surface: per-query target selection, results
+// carrying the serving artifact's identity, and structured errors. Its
+// body decodes into the pooled request state, so a warm query reuses the
+// previous one's Targets and CE backing arrays.
+var predictV2 = predictAPI{werr: httpapi.WriteError, decode: decodeV2, render: renderV2}
+
+func decodeV2(r *http.Request, rq *request) *httpapi.Error {
+	b := &rq.body
+	if e := httpapi.DecodeBody(r, b); e != nil {
+		return e
 	}
-	for i, t := range r.targets {
-		pred := p.preds[i]
-		out.Predictions[string(t)] = TargetResultV2{
-			Value:    pred.Value,
-			ByRank:   pred.ByRank,
-			InputSet: int(pred.Set),
+	if rq.batch = b.Queries != nil; !rq.batch {
+		rq.queries = append(rq.queries, b.PredictRequestV2)
+	}
+	rq.queries = append(rq.queries, b.Queries...)
+	return nil
+}
+
+func renderV2(w http.ResponseWriter, g *generation, rq *request) {
+	if !rq.batch {
+		httpapi.WriteJSON(w, http.StatusOK, &PredictResponseV2{
+			PredictItemV2: *itemV2(&rq.items[0]),
+			Generation:    g.id,
+			Fingerprint:   g.fp,
+		})
+		return
+	}
+	resp := &PredictBatchResponseV2{
+		Results:     make([]*PredictItemV2, len(rq.items)),
+		Generation:  g.id,
+		Fingerprint: g.fp,
+	}
+	for i := range rq.items {
+		resp.Results[i] = itemV2(&rq.items[i])
+	}
+	httpapi.WriteJSON(w, http.StatusOK, resp)
+}
+
+// itemV2 adapts one answered item to the /v2 item shape.
+func itemV2(it *item) *PredictItemV2 {
+	out := &PredictItemV2{
+		Workload:    it.workload,
+		TREFP:       it.trefp,
+		TempC:       it.tempC,
+		VDD:         it.vdd,
+		Model:       string(it.kind),
+		Predictions: make(map[string]TargetResultV2, len(it.answers)),
+		ElapsedMS:   ms(it.elapsed),
+	}
+	for i := range it.answers {
+		a := &it.answers[i]
+		out.Predictions[string(a.target)] = TargetResultV2{
+			Value:    a.pred.Value,
+			ByRank:   a.pred.ByRank,
+			InputSet: int(a.pred.Set),
 		}
 	}
 	return out
-}
-
-// handlePredictV2 serves POST /v2/predict over the same resolve/predict
-// path as /v1, with per-query target selection and structured errors.
-func (s *Server) handlePredictV2(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	body := v2BodyPool.Get().(*predictBodyV2)
-	defer putV2Body(body)
-	if e := httpapi.DecodeBody(r, body); e != nil {
-		httpapi.WriteError(w, e)
-		return
-	}
-	defer func() { s.metrics.predictSeconds.Observe(time.Since(start)) }()
-
-	g, err := s.acquire()
-	if err != nil {
-		httpapi.WriteError(w, servingErr(err))
-		return
-	}
-
-	if body.Queries != nil {
-		qs := make([]query, len(body.Queries))
-		for i, q := range body.Queries {
-			qs[i] = q.query()
-		}
-		rs, preds, e := s.predictMany(g, qs)
-		if e != nil {
-			httpapi.WriteError(w, e)
-			return
-		}
-		resp := &PredictBatchResponseV2{
-			Results:     make([]*PredictItemV2, len(rs)),
-			Generation:  g.id,
-			Fingerprint: g.fp,
-		}
-		for i := range rs {
-			resp.Results[i] = renderV2(rs[i], preds[i])
-		}
-		httpapi.WriteJSON(w, http.StatusOK, resp)
-		freeMany(rs, preds)
-		return
-	}
-
-	rq, e := s.resolve(g, body.PredictRequestV2.query())
-	if e != nil {
-		httpapi.WriteError(w, e)
-		return
-	}
-	p, e := s.predictOne(g, rq)
-	if e != nil {
-		putResolved(rq)
-		httpapi.WriteError(w, e)
-		return
-	}
-	httpapi.WriteJSON(w, http.StatusOK, &PredictResponseV2{
-		PredictItemV2: *renderV2(rq, p),
-		Generation:    g.id,
-		Fingerprint:   g.fp,
-	})
-	putResolved(rq)
-	putPredicted(p)
 }

@@ -261,7 +261,7 @@ func TestV2ValidationErrors(t *testing.T) {
 	t.Run("batch too large", func(t *testing.T) {
 		var sb strings.Builder
 		sb.WriteString(`{"queries":[`)
-		for i := 0; i <= maxBatchBody; i++ {
+		for i := 0; i <= httpapi.MaxBatch; i++ {
 			if i > 0 {
 				sb.WriteString(",")
 			}

@@ -49,7 +49,9 @@ addr_ing=127.0.0.1:18085
 addr_pol=127.0.0.1:18086
 workdir=$(mktemp -d)
 pids=()
-trap 'kill "${pids[@]}" 2>/dev/null || true; rm -rf "$workdir"' EXIT
+# Wait for the killed servers before removing their files: a server
+# still finishing a retrain writes into $workdir until it exits.
+trap 'kill "${pids[@]}" 2>/dev/null || true; wait "${pids[@]}" 2>/dev/null || true; rm -rf "$workdir"' EXIT
 
 go build -o "$workdir/dramserve" ./cmd/dramserve
 go build -o "$workdir/dramfleet" ./cmd/dramfleet
